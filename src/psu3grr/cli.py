@@ -37,9 +37,10 @@ from .cayley import build_graph, edge_list_sha256, export_graph
 from .construct import (ConstructionError, NoValidParams, UnsupportedQ,
                         build_triple, count_valid_b, search_params)
 from .gf import field
-from .grouporder import (IsotropicAction, commutant_dimension,
-                         dihedral_image_order, expected_group_order,
-                         group_order, invariant_subspace_test)
+from .grouporder import (IsotropicAction, OrderBoundExceeded,
+                         commutant_dimension, dihedral_image_order,
+                         expected_group_order, group_order,
+                         invariant_subspace_test)
 from .mat3 import matrix_order, projective_order
 
 EXIT_OK = 0
@@ -58,8 +59,10 @@ STAGE_DEPS = {
 VERDICT_STAGES = ("search", "construct", "order", "irreducible", "aut")
 STAGE_RUN_ORDER = ("search", "construct", "order", "irreducible", "aut", "graph")
 
-# order certification above this permutation degree needs an explicit flag
-ORDER_DEGREE_GATE = 5000
+# order certification above this permutation degree needs an explicit flag;
+# every q <= 25 (degree <= 15 626) certifies in about 2 s, q = 27 (degree
+# 19 684) takes tens of seconds
+ORDER_DEGREE_GATE = 16000
 
 
 class InternalInconsistency(RuntimeError):
@@ -174,8 +177,16 @@ def _stage_order(state, cfg: RunConfig) -> dict:
             f"permutation degree {degree} exceeds the default gate "
             f"{ORDER_DEGREE_GATE}; rerun with --allow-large-order")
     action = IsotropicAction(fld)
-    cert = group_order(t, action)
     expected = expected_group_order(fld.q)
+    try:
+        cert = group_order(t, action)
+    except OrderBoundExceeded as exc:
+        # X, Y, Z passed the SU3 check, so the image lies in PSU3(q): a
+        # chain past |PSU3(q)| means the chain or that argument is wrong
+        raise InternalInconsistency(
+            f"generation chain exceeded |PSU3({fld.q})|: {exc}",
+            {"status": "fail", "degree": degree,
+             "expected_order": expected}) from exc
     dihedral = dihedral_image_order(t, action)
     dihedral_expected = (2 * (fld.q - 1) if state["params"].parity == "odd"
                          else 2 * (fld.q + 1))

@@ -7,6 +7,14 @@ projected triple generates), and a deterministic Schreier-Sims stabilizer
 chain gives the exact order of that image.  Comparing against
 |PSU3(q)| = q^3 (q^3+1) (q^2-1) / gcd(3, q+1) settles generation.
 
+The chain stops early once its order reaches |PSU3(q)| (see
+StabilizerChain for why the result is then the same as a full run).
+group_order uses |PSU3(q)| as that bound only after checking itself that
+X, Y and Z are in SU3(q) for the form of the action, so that the image is
+known to lie in PSU3(q); a triple that fails the check gets no bound.  A
+triple that generates a proper subgroup never reaches the bound, so its
+chain runs to the end and the subgroup order it reports is exact.
+
 Irreducibility is certified two independent ways: an invariant-line search
 via eigenspace intersections (covering invariant planes through transposes)
 and the dimension of the simultaneous commutant, which is 1 exactly for
@@ -24,11 +32,16 @@ import numpy as np
 from .construct import GeneratorTriple
 from .gf import Field, FieldElem
 from .linalg import nullspace
-from .mat3 import HermitianForm, Mat3, standard_hermitian_form
+from .mat3 import (HermitianForm, Mat3, is_special_unitary,
+                   standard_hermitian_form)
 
 
 class DegenerateActionError(RuntimeError):
     """A supposed generator acts trivially on the isotropic points."""
+
+
+class OrderBoundExceeded(RuntimeError):
+    """A stabilizer chain grew past the order bound it was given."""
 
 
 def expected_group_order(q: int) -> int:
@@ -152,8 +165,9 @@ class IsotropicAction:
 # ---------------------------------------------------------------------------
 
 def _compose(a, b):
-    # x^(a then b); permutations as image arrays
-    return b[a]
+    # x^(a then b) = b[a[x]]; permutations as image arrays (take is the
+    # cheaper gather for it)
+    return b.take(a)
 
 
 class _Level:
@@ -229,13 +243,29 @@ class StabilizerChain:
     """Incremental deterministic Schreier-Sims on permutation arrays.
 
     Level l stores the full strong generating set S_l of the l-th chain
-    subgroup, so S_0 contains (residues of) all input generators and
-    S_0 >= S_1 >= ... as sets: a strong generator that fixes the first j
-    base points is appended to every level 0..j.  Every Schreier generator
-    of every level is sifted to the identity before the chain reports an
-    order, so the reported order is unconditional.  Base points are chosen
-    greedily as the first moved point; all iteration orders are fixed, so
-    two runs over the same generators agree exactly.
+    subgroup H_l = <S_l>, so S_0 contains (residues of) all input
+    generators and S_0 >= S_1 >= ... as sets: a strong generator that fixes
+    the first j base points is appended to every level 0..j.  Base points
+    are chosen greedily as the first moved point; all iteration orders are
+    fixed, so two runs over the same generators agree exactly.
+
+    Soundness.  Each basic orbit beta_l^(H_l) is closed under S_l, and
+    H_(l+1) fixes beta_l, so H_(l+1) <= Stab_(H_l)(beta_l) and the product
+    of the basic orbit lengths is a lower bound on |H_0| at every step;
+    H_0 lies inside the group the inputs generate.  Without an order_bound
+    every Schreier generator of every level is sifted to the identity
+    before the chain reports an order, which makes the product exact.
+    With an order_bound, a proven upper bound on the order of the group
+    the inputs generate, the chain stops as soon as the product reaches
+    it (known-order Schreier-Sims, Seress, Permutation Group Algorithms,
+    2003, Sect. 4.5): then lower bound = upper bound, every inclusion
+    above is an equality, the chain is already a complete base and strong
+    generating set, and every Schreier generator left pending would sift
+    to the identity.  Base, orbit lengths and order are therefore the same
+    as after the full drain.  A group smaller than the bound never reaches
+    it, so its chain drains completely and its order stays exact.  A
+    product above the bound proves the bound wrong and raises
+    OrderBoundExceeded.
     """
 
     # full per-point transversal memos below this degree; above it each
@@ -245,8 +275,10 @@ class StabilizerChain:
     CACHE_CAP_LARGE = 2048
 
     def __init__(self, degree: int, dtype=np.int32,
-                 cache_transversals: bool | None = None):
+                 cache_transversals: bool | None = None,
+                 order_bound: int | None = None):
         self.degree = degree
+        self.order_bound = order_bound
         self.identity = np.arange(degree, dtype=dtype)
         if cache_transversals is None:
             cache_transversals = degree <= self.CACHE_DEGREE_LIMIT
@@ -258,8 +290,8 @@ class StabilizerChain:
         if np.array_equal(perm, self.identity):
             return
         residue, lvl = self._sift(perm, 0)
-        if not np.array_equal(residue, self.identity):
-            self._extend(residue, lvl)
+        if not np.array_equal(residue, self.identity) \
+                and not self._extend(residue, lvl):
             self._drain()
 
     def contains(self, perm: np.ndarray) -> bool:
@@ -278,16 +310,29 @@ class StabilizerChain:
             r = _compose(r, level.transversal_inv(c))
         return r, len(self.levels)
 
-    def _extend(self, g, lvl: int):
-        """Install g, which fixes the first lvl base points, at levels 0..lvl."""
+    def _extend(self, g, lvl: int) -> bool:
+        """Install g, which fixes the first lvl base points, at levels 0..lvl.
+
+        Returns True once the order has reached order_bound.  Only an
+        install changes the order, so this is the one place to check it.
+        """
         if lvl == len(self.levels):
             beta = int(np.flatnonzero(g != self.identity)[0])
             self.levels.append(_Level(beta, self.identity, self.cache_cap))
         for li in range(lvl + 1):
             self.levels[li].add_gen(g)
+        if self.order_bound is None:
+            return False
+        order = self.order()
+        if order > self.order_bound:
+            raise OrderBoundExceeded(
+                f"chain order {order} exceeds the proven bound "
+                f"{self.order_bound}")
+        return order == self.order_bound
 
     def _drain(self):
-        """Process pending Schreier pairs, deepest level first."""
+        """Process pending Schreier pairs, deepest level first, until none
+        is left or the order reaches order_bound."""
         while True:
             lvl = None
             for li in range(len(self.levels) - 1, -1, -1):
@@ -302,8 +347,9 @@ class StabilizerChain:
             h = level.gens[gi]
             w = _compose(level.transversal(a), h)
             residue, l2 = self._sift(w, lvl)
-            if not np.array_equal(residue, self.identity):
-                self._extend(residue, l2)
+            if not np.array_equal(residue, self.identity) \
+                    and self._extend(residue, l2):
+                return
 
     def order(self) -> int:
         out = 1
@@ -339,8 +385,11 @@ class PermGroupCertificate:
         return out
 
 
-def permutation_order_certificate(perms, degree: int) -> PermGroupCertificate:
-    chain = StabilizerChain(degree, dtype=perms[0].dtype)
+def permutation_order_certificate(perms, degree: int,
+                                  order_bound: int | None = None
+                                  ) -> PermGroupCertificate:
+    chain = StabilizerChain(degree, dtype=perms[0].dtype,
+                            order_bound=order_bound)
     for p in perms:
         chain.add_generator(p)
     return PermGroupCertificate(degree, chain.order(), chain.base,
@@ -349,13 +398,21 @@ def permutation_order_certificate(perms, degree: int) -> PermGroupCertificate:
 
 def group_order(t: GeneratorTriple,
                 action: IsotropicAction | None = None) -> PermGroupCertificate:
-    """Exact order of the permutation image of <X, Y, Z> on isotropic points."""
+    """Exact order of the permutation image of <X, Y, Z> on isotropic points.
+
+    When X, Y and Z are in SU3 for the action's form, the image lies in
+    PSU3(q) and the chain stops once it reaches |PSU3(q)|; otherwise it
+    gets no bound and drains completely.
+    """
     action = action or IsotropicAction(t.field)
     perms = [action.permutation(m) for m in t.matrices]
     for name, p in zip("XYZ", perms):
         if np.array_equal(p, action.identity):
             raise DegenerateActionError(f"generator {name} acts trivially")
-    return permutation_order_certificate(perms, action.degree)
+    bound = None
+    if all(is_special_unitary(m, action.form) for m in t.matrices):
+        bound = expected_group_order(t.field.q)
+    return permutation_order_certificate(perms, action.degree, bound)
 
 
 def dihedral_image_order(t: GeneratorTriple,

@@ -66,8 +66,8 @@ def test_certificates_are_deterministic():
 
 
 def test_order_gate_for_large_degree():
-    # q = 25 has permutation degree 15626, above the default gate
-    cert, code = run_certify(RunConfig(5, 2))
+    # q = 27 has permutation degree 19684, above the default gate
+    cert, code = run_certify(RunConfig(3, 3))
     assert code == EXIT_STAGE_FAILED
     assert cert["verdict"] == "FAILED"
     assert "allow-large-order" in cert["detail"]
@@ -157,6 +157,21 @@ def test_internal_inconsistency_exit_code(monkeypatch):
     cert, code = cli.run_certify(RunConfig(5, 1))
     assert code == cli.EXIT_INCONSISTENT
     assert cert["verdict"] == "INTERNAL_INCONSISTENCY"
+
+
+def test_order_past_the_bound_is_an_internal_inconsistency(monkeypatch):
+    """A chain that grows past |PSU3(q)| after X, Y, Z passed the SU3 check
+    contradicts the bound argument, which is exit 4, not a stage failure."""
+    import psu3grr.cli as cli
+    from psu3grr import grouporder
+    monkeypatch.setattr(grouporder, "expected_group_order", lambda q: 1000)
+    cert, code = cli.run_certify(RunConfig(5, 1))
+    assert code == cli.EXIT_INCONSISTENT
+    assert cert["verdict"] == "INTERNAL_INCONSISTENCY"
+    assert cert["failed_stage"] == "order"
+    frag = cert["stages"]["order"]
+    assert frag["status"] == "fail" and frag["degree"] == 126
+    assert "exceeds the proven bound 1000" in cert["detail"]
 
 
 def test_negative_control_report_shape():

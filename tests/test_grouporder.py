@@ -1,16 +1,20 @@
 """Isotropic geometry, the permutation action, and the order certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from psu3grr import grouporder
 from psu3grr.construct import GeneratorTriple, build_triple, search_params
 from psu3grr.gf import field
 from psu3grr.grouporder import (DegenerateActionError, IsotropicAction,
-                                StabilizerChain, commutant_dimension,
+                                OrderBoundExceeded, StabilizerChain,
+                                commutant_dimension,
                                 dihedral_image_order, expected_group_order,
                                 group_order, invariant_subspace_test,
                                 isotropic_points)
-from psu3grr.mat3 import Mat3, standard_hermitian_form
+from psu3grr.mat3 import Mat3, is_special_unitary, standard_hermitian_form
 
 
 def _independent_isotropic_count(F):
@@ -202,3 +206,94 @@ def test_irreducibility_oracles_agree_on_tested_triples():
         irr = invariant_subspace_test(t)
         comm = commutant_dimension(t)
         assert irr == (comm == 1)
+
+
+def _chain(perms, degree, order_bound=None):
+    chain = StabilizerChain(degree, dtype=perms[0].dtype,
+                            order_bound=order_bound)
+    for p in perms:
+        chain.add_generator(p)
+    return chain
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1)])
+def test_bounded_chain_matches_full_drain(p, f):
+    """Stopping at |PSU3(q)| leaves base, orbit lengths and order unchanged."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    perms = [act.permutation(m) for m in t.matrices]
+    full = _chain(perms, act.degree, order_bound=None)
+    bounded = _chain(perms, act.degree, expected_group_order(F.q))
+    assert not any(level.pending for level in full.levels)
+    assert any(level.pending for level in bounded.levels)  # stopped early
+    assert bounded.order() == full.order() == expected_group_order(F.q)
+    assert bounded.base == full.base
+    assert bounded.orbit_lengths == full.orbit_lengths
+    cert = group_order(t, act)
+    assert (cert.order, cert.base, cert.orbit_lengths) == \
+        (full.order(), full.base, full.orbit_lengths)
+
+
+def test_only_special_unitary_triples_get_the_order_bound(monkeypatch):
+    """c * X with c^(q+1) = 1, c^3 != 1 acts like X but is not in SU3(q)."""
+    F = field(5, 1)
+    cp = search_params(F)
+    t = build_triple(cp)
+    c = next(x for x in F.nonzero_elements()
+             if x ** (F.q + 1) == F.one and x ** 3 != F.one)
+    scaled = GeneratorTriple(cp, t.X.scalar_mul(c), t.Y, t.Z)
+    assert not is_special_unitary(scaled.X)
+    bounds = []
+    certify = grouporder.permutation_order_certificate
+
+    def spy(perms, degree, order_bound=None):
+        bounds.append(order_bound)
+        return certify(perms, degree, order_bound)
+    monkeypatch.setattr(grouporder, "permutation_order_certificate", spy)
+    act = IsotropicAction(F)
+    assert group_order(scaled, act) == group_order(t, act)
+    assert bounds == [None, expected_group_order(F.q)]
+
+
+def test_chain_raises_when_the_bound_is_too_small():
+    cyc = np.array([1, 2, 3, 4, 0], dtype=np.int32)
+    swap = np.array([1, 0, 2, 3, 4], dtype=np.int32)
+    with pytest.raises(OrderBoundExceeded):
+        _chain([cyc, swap], 5, order_bound=119)
+    F = field(5, 1)
+    act = IsotropicAction(F)
+    perms = [act.permutation(m) for m in build_triple(search_params(F)).matrices]
+    with pytest.raises(OrderBoundExceeded):
+        _chain(perms, act.degree, expected_group_order(F.q) - 1)
+
+
+@pytest.mark.parametrize("b", ["0,4", "1,1"])
+def test_norm_one_b_collapses_to_a_proper_subgroup(b):
+    """At q = 5 a norm-one b outside GF(q) passes the trace condition but
+    generates an A7-type subgroup; the chain never reaches |PSU3(5)| and
+    drains completely."""
+    F = field(5, 1)
+    cp = search_params(F)
+    nb = F.from_str(b)
+    assert nb ** (F.q + 1) == F.one and nb.frobenius(F.f) != nb
+    assert nb + nb.frobenius(F.f) == F.one
+    cert = group_order(build_triple(replace(cp, b=nb)))
+    assert cert.order == 2520
+    assert cert.base == (0, 2, 6)
+    assert cert.orbit_lengths == (126, 10, 2)
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3)])
+def test_chain_order_matches_sympy(p, f):
+    """Independent order check by sympy's own Schreier-Sims."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    F = field(p, f)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    perms = [act.permutation(m) for m in t.matrices]
+    group = combinatorics.PermutationGroup(
+        [combinatorics.Permutation([int(x) for x in g]) for g in perms])
+    assert group.order() == group_order(t, act).order == \
+        expected_group_order(F.q)
