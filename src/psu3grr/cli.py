@@ -36,7 +36,7 @@ from .autcheck import aut_group_trivial
 from .cayley import build_graph, edge_list_sha256, export_graph
 from .construct import (ConstructionError, NoValidParams, UnsupportedQ,
                         build_triple, count_valid_b, search_params)
-from .gf import field
+from .gf import TABLE_LIMIT, field
 from .grouporder import (IsotropicAction, OrderBoundExceeded,
                          commutant_dimension, dihedral_image_order,
                          expected_group_order, group_order,
@@ -172,6 +172,11 @@ def _stage_order(state, cfg: RunConfig) -> dict:
     t = state["triple"]
     fld = t.field
     degree = fld.q ** 3 + 1
+    if not fld.has_tables:
+        raise RuntimeError(
+            f"the order stage needs the size^2 field tables, and GF({fld.q}^2) "
+            f"has {fld.size} elements, above TABLE_LIMIT = {TABLE_LIMIT} "
+            f"(q <= 32)")
     if degree > ORDER_DEGREE_GATE and not cfg.allow_large_order:
         raise RuntimeError(
             f"permutation degree {degree} exceeds the default gate "

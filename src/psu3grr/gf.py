@@ -14,20 +14,27 @@ Determinism rules used throughout the package:
     index is the rank in that order, so "first element satisfying X" always
     means "smallest index satisfying X".
 
-Fields with at most TABLE_LIMIT elements (every field this package needs)
-get full addition/multiplication lookup tables plus discrete log/antilog
-tables, so arithmetic is O(1) dictionary-free indexing.  Larger fields fall
-back to direct polynomial arithmetic and stay usable, just slower.
+Every field builds, once, the discrete log and antilog tables of its first
+multiplicative generator g and the Zech table Z with 1 + g^k = g^Z(k)
+(Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory
+1990): three arrays of O(q^2) entries.  Fields with at most TABLE_LIMIT
+elements derive full size^2 addition/multiplication tables (and numpy
+copies for vectorised users) from them; larger fields do every operation
+in the log domain with a few list lookups.  Either way arithmetic is O(1).
+The polynomial routines only choose the modulus and the generator, and
+serve the tests as an independent reference.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from math import gcd, isqrt
 
 import numpy as np
 
-# Full size^2 lookup tables below this many elements; covers q <= 32.
+# Fields with at most this many elements (q <= 32) also get size^2 add/mul
+# lookup tables; larger ones do arithmetic through the log/Zech tables only.
 TABLE_LIMIT = 1100
 # Hard ceiling on |GF(q^2)|; beyond this we refuse to build the field.
 SIZE_LIMIT = 1 << 20
@@ -172,7 +179,7 @@ class Field:
     that element operations between equal fields share one object.
     """
 
-    def __init__(self, p: int, f: int, build_tables: bool | None = None):
+    def __init__(self, p: int, f: int):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if f < 1:
@@ -192,21 +199,30 @@ class Field:
         self._place = tuple(p ** (2 * f - 1 - i) for i in range(2 * f))
         self._mult_order = self.size - 1
         self._order_factors = factorize(self._mult_order)
+        # log of -1: g^(n/2) is the only element of order 2 when p is odd
+        self._neg_log = 0 if p == 2 else self._mult_order // 2
 
-        if build_tables is None:
-            build_tables = self.size <= TABLE_LIMIT
-        self.has_tables = build_tables
-        if build_tables:
-            self._build_tables()
+        exp, log, zech = self._log_tables()
+        # exp is stored twice over, so a sum of two logs (or minus a log)
+        # indexes it without reduction mod n; a negative difference of logs
+        # indexes zech the same way through Python's negative indexing
+        self._exp = exp.tolist() * 2
+        self._log = log.tolist()
+        if self._log.count(-1) != 1:  # only log[0]: g^k reaches every x != 0
+            raise AssertionError("generator powers miss a nonzero element")
+        self._zech = zech.tolist()
+        self.has_tables = self.size <= TABLE_LIMIT
+        if self.has_tables:
+            self._square_tables(exp, log, zech)
             self.add_index = self._add_index_table
             self.mul_index = self._mul_index_table
             self.neg_index = self._neg_index_table
             self.inv_index = self._inv_index_table
         else:
-            self.add_index = self._add_index_poly
-            self.mul_index = self._mul_index_poly
-            self.neg_index = self._neg_index_poly
-            self.inv_index = self._inv_index_poly
+            self.add_index = self._add_index_log
+            self.mul_index = self._mul_index_log
+            self.neg_index = self._neg_index_log
+            self.inv_index = self._inv_index_log
 
         self.zero = FieldElem(self, 0)
         self.one = self.from_int(1)
@@ -255,54 +271,71 @@ class Field:
 
     # -- table construction --------------------------------------------------
 
-    def _build_tables(self):
-        p, n, size = self.p, self._mult_order, self.size
-        # digit matrix: row i = coefficient vector of element index i
-        idx = np.arange(size, dtype=np.int64)
-        digits = np.empty((size, self.ext_degree), dtype=np.int64)
-        for i, w in enumerate(self._place):
-            digits[:, i] = (idx // w) % p
+    def _log_tables(self):
+        """(exp, log, zech) of the first generator g, as int64 arrays.
 
-        gen_idx = self._find_generator()
-        exp = np.empty(n, dtype=np.int64)
-        exp[0] = self.encode([1])
-        g_poly = list(self.decode(gen_idx))
-        cur = [1]
+        exp[k] is the index of g^k for 0 <= k < n = size - 1; log[i] is the
+        k with g^k = i, and log[0] = -1; zech[k] is log(1 + g^k), or -1
+        where 1 + g^k = 0.
+
+        exp is built in blocks of B ~ sqrt(n) rows: with M the GF(p)-linear
+        map "multiply by g" on coefficient row vectors, the first block is
+        the first rows of M^0, ..., M^(B-1), and each later block is the one
+        before times M^B.  Each block is encoded to indices as soon as it is
+        made, so no size x 2f coefficient matrix is ever held.
+        """
+        p, d, n = self.p, self.ext_degree, self._mult_order
+        g = list(self.decode(self._find_generator()))
         modulus = list(self.modulus)
-        for k in range(1, n):
-            cur = _poly_mulmod(cur, g_poly, modulus, p)
-            exp[k] = self.encode(cur)
-        log = np.full(size, -1, dtype=np.int64)
-        log[exp] = np.arange(n, dtype=np.int64)
-
+        mul_g = np.zeros((d, d), dtype=np.int64)
+        for j in range(d):
+            row = _poly_mulmod([0] * j + [1], g, modulus, p)
+            mul_g[j, :len(row)] = row
+        block = isqrt(n) + 1
+        rows = np.empty((block, d), dtype=np.int64)
+        step = np.eye(d, dtype=np.int64)
+        for k in range(block):
+            rows[k] = step[0]  # coefficients of g^k = (1, 0, ..., 0) M^k
+            step = step @ mul_g % p
         place = np.array(self._place, dtype=np.int64)
-        add_rows = []
-        mul_rows = []
-        zero_row = [0] * size
-        for i in range(size):
-            add_rows.append((((digits[i] + digits) % p) @ place).tolist())
-            if i == 0:
-                mul_rows.append(list(zero_row))
-            else:
-                row = exp[(log[i] + log[1:]) % n]
-                mul_rows.append([0] + row.tolist())
-        self._add = add_rows
-        self._mul = mul_rows
-        self._neg = (((-digits) % p) @ place).tolist()
-        inv = np.zeros(size, dtype=np.int64)
-        inv[exp] = exp[(-np.arange(n)) % n]
+        exp = np.empty(n, dtype=np.int64)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            exp[start:stop] = rows[:stop - start] @ place
+            rows = rows @ step % p
+        log = np.full(self.size, -1, dtype=np.int64)
+        log[exp] = np.arange(n, dtype=np.int64)
+        # 1 + x raises the constant coefficient, which weighs place[0] =
+        # size / p, so the index of 1 + x is (x + place[0]) mod size
+        one_plus = (exp + self._place[0]) % self.size
+        return exp, log, log[one_plus]
+
+    def _square_tables(self, exp, log, zech):
+        """size^2 add/mul tables and their numpy copies, from the log tables."""
+        size, n = self.size, self._mult_order
+        exp, zech = exp.astype(np.int32), zech.astype(np.int32)
+        a = log[1:].astype(np.int32)  # logs of the nonzero elements, in index order
+        idx = np.arange(size, dtype=np.int32)
+        mul = np.zeros((size, size), dtype=np.int32)
+        mul[1:, 1:] = exp[(a[:, None] + a) % n]
+        add = np.empty((size, size), dtype=np.int32)
+        add[0] = idx
+        add[:, 0] = idx
+        z = zech[(a - a[:, None]) % n]  # log(1 + x_j / x_i) at [i, j]
+        add[1:, 1:] = np.where(z < 0, 0, exp[(a[:, None] + z) % n])
+        del z  # freed before the size^2 lists below are made
+        inv = np.zeros(size, dtype=np.int32)
+        inv[1:] = exp[-a % n]
+        neg = np.zeros(size, dtype=np.int32)
+        neg[1:] = exp[(a + self._neg_log) % n]
+        powq = np.zeros(size, dtype=np.int32)
+        powq[1:] = exp[a * self.q % n]
+        self._add = add.tolist()
+        self._mul = mul.tolist()
+        self._neg = neg.tolist()
         self._inv = inv.tolist()
-        self._log = log.tolist()
-        self._exp = exp.tolist()
         # numpy copies for vectorised users (point actions in grouporder)
-        self.add_np = np.array(add_rows, dtype=np.int32)
-        self.mul_np = np.array(mul_rows, dtype=np.int32)
-        self.inv_np = inv.astype(np.int32)
-        powq = np.zeros(size, dtype=np.int64)
-        powq[exp] = exp[(np.arange(n) * self.q) % n]
-        powq[self.encode([1])] = self.encode([1])
-        self.powq_np = powq.astype(np.int32)
-        self._powq = powq.tolist()
+        self.add_np, self.mul_np, self.inv_np, self.powq_np = add, mul, inv, powq
 
     def _find_generator(self) -> int:
         """Index of the first multiplicative generator in enumeration order."""
@@ -331,27 +364,34 @@ class Field:
             raise ZeroDivisionError("inversion of the zero field element")
         return self._inv[i]
 
-    # -- index arithmetic (polynomial tier) ----------------------------------
+    # -- index arithmetic (log domain) ----------------------------------------
 
-    def _add_index_poly(self, i, j):
-        p = self.p
-        a, b = self.decode(i), self.decode(j)
-        return self.encode([(x + y) % p for x, y in zip(a, b)])
+    def _add_index_log(self, i, j):
+        # g^a + g^b = g^a (1 + g^(b-a)) = g^(a + Z(b-a))
+        if i == 0:
+            return j
+        if j == 0:
+            return i
+        log = self._log
+        a = log[i]
+        z = self._zech[log[j] - a]
+        return 0 if z < 0 else self._exp[a + z]
 
-    def _mul_index_poly(self, i, j):
+    def _mul_index_log(self, i, j):
         if i == 0 or j == 0:
             return 0
-        prod = _poly_mulmod(list(self.decode(i)), list(self.decode(j)),
-                            list(self.modulus), self.p)
-        return self.encode(prod)
+        log = self._log
+        return self._exp[log[i] + log[j]]
 
-    def _neg_index_poly(self, i):
-        return self.encode([(-c) % self.p for c in self.decode(i)])
+    def _neg_index_log(self, i):
+        if i == 0:
+            return 0
+        return self._exp[self._log[i] + self._neg_log]
 
-    def _inv_index_poly(self, i):
+    def _inv_index_log(self, i):
         if i == 0:
             raise ZeroDivisionError("inversion of the zero field element")
-        return self.pow_index(i, self._mult_order - 1)
+        return self._exp[-self._log[i]]
 
     # -- shared index helpers ------------------------------------------------
 
@@ -362,14 +402,7 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError("inversion of the zero field element")
             return 0
-        if self.has_tables:
-            k = (self._log[i] * e) % self._mult_order
-            return self._exp[k]
-        if e < 0:
-            i = self.inv_index(i)
-            e = -e
-        result = _poly_powmod(list(self.decode(i)), e, list(self.modulus), self.p)
-        return self.encode(result)
+        return self._exp[self._log[i] * e % self._mult_order]
 
     def frob_index(self, i, e):
         """Index of x^(p^e) for x of index i."""
@@ -379,17 +412,7 @@ class Field:
         if i == 0:
             raise ValueError("the zero element has no multiplicative order")
         n = self._mult_order
-        if self.has_tables:
-            from math import gcd
-            return n // gcd(n, self._log[i])
-        order = n
-        for r, mult in self._order_factors.items():
-            for _ in range(mult):
-                if self.pow_index(i, order // r) == self.encode([1]):
-                    order //= r
-                else:
-                    break
-        return order
+        return n // gcd(n, self._log[i])
 
     # -- serialization -------------------------------------------------------
 
@@ -495,8 +518,3 @@ class FieldElem:
 
     def __repr__(self):
         return f"<{self.to_str()} in GF({self.field.p}^{self.field.ext_degree})>"
-
-
-def norm_trace_q(x: FieldElem):
-    """Module-level alias for FieldElem.norm_trace."""
-    return x.norm_trace()

@@ -68,7 +68,8 @@ class IsotropicAction:
     """Vectorised right action of matrices on the isotropic point set.
 
     Points are row vectors v acted on by v -> v * M, then renormalised.
-    Requires a table-backed field (every supported q has one).
+    Requires a field with size^2 tables (has_tables: at most TABLE_LIMIT
+    elements, so q <= 32); larger fields raise ValueError.
     """
 
     def __init__(self, field: Field, form: HermitianForm | None = None):

@@ -73,6 +73,38 @@ def test_order_gate_for_large_degree():
     assert "allow-large-order" in cert["detail"]
 
 
+def test_order_stage_refuses_fields_without_tables(capsys):
+    # q = 49: GF(49^2) has 2401 elements, above TABLE_LIMIT; the refusal
+    # comes before the degree gate, so --allow-large-order does not help
+    code = main(["certify", "--p", "7", "--f", "2", "--allow-large-order"])
+    assert code == EXIT_STAGE_FAILED
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == "FAILED"
+    assert cert["stages_run"] == ["search", "construct"]
+    assert all(cert["stages"][s]["status"] == "pass" for s in cert["stages_run"])
+    assert "q <= 32" in cert["detail"] and "TABLE_LIMIT = 1100" in cert["detail"]
+    assert "GF(49^2) has 2401 elements" in cert["detail"]
+    assert cert["certificate_hash"] == certificate_hash(cert)
+
+
+# certificate_hash of `certify --stage irreducible`, fields above TABLE_LIMIT
+BIG_FIELD_HASHES = {
+    49: "b6bf3fa301df7e78b32df4d5421248ab4597e527b2c32d4195b246dbdc6488f9",
+    64: "be014baea56bbeae776e81f354d0ad327b7835341f1baead362dc1730641063a",
+    81: "036e3d06468e3a0cfd0dbfe528d153c664adfae569a65b60209e41b6b6cb3ff8",
+}
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (2, 6), (3, 4)])
+def test_big_field_certificates_are_pinned(p, f):
+    cert, code = run_certify(RunConfig(p, f, stages=("irreducible",)))
+    assert code == EXIT_OK
+    assert cert["verdict"] == "INCOMPLETE"
+    assert cert["stages_run"] == ["search", "construct", "irreducible"]
+    assert all(cert["stages"][s]["status"] == "pass" for s in cert["stages_run"])
+    assert cert["certificate_hash"] == BIG_FIELD_HASHES[p ** f]
+
+
 def test_main_search_params(capsys):
     assert main(["search-params", "--p", "5", "--f", "1"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from psu3grr.gf import (Field, FieldElem, field, field_from_params_str,
-                        is_prime, smallest_irreducible)
+from psu3grr.gf import (Field, FieldElem, _poly_mulmod, _poly_powmod, field,
+                        field_from_params_str, is_prime, smallest_irreducible)
 
 
 def test_field_sizes():
@@ -172,19 +172,118 @@ def test_serialization_round_trip():
         field_from_params_str("3,2,1,1,1,1,1")
 
 
-def test_tableless_tier_agrees_with_tables():
-    F = field(5, 1)
-    G = Field(5, 1, build_tables=False)
-    for i in range(25):
-        assert F.neg_index(i) == G.neg_index(i)
+class PolyReference:
+    """Arithmetic on coefficient vectors with the _poly_* routines alone."""
+
+    def __init__(self, F):
+        self.F = F
+        self.p = F.p
+        self.modulus = list(F.modulus)
+        self.n = F.size - 1
+
+    def poly(self, i):
+        return list(self.F.decode(i))
+
+    def add(self, i, j):
+        return self.F.encode([(a + b) % self.p
+                              for a, b in zip(self.F.decode(i), self.F.decode(j))])
+
+    def neg(self, i):
+        return self.F.encode([-a % self.p for a in self.F.decode(i)])
+
+    def mul(self, i, j):
+        return self.F.encode(_poly_mulmod(self.poly(i), self.poly(j),
+                                          self.modulus, self.p))
+
+    def power(self, i, e):
+        base = self.poly(i)
+        if e < 0:  # x^-1 = x^(n-1) by Lagrange, then raise that
+            base, e = _poly_powmod(base, self.n - 1, self.modulus, self.p), -e
+        return self.F.encode(_poly_powmod(base, e, self.modulus, self.p))
+
+    def order(self, i):
+        one = self.F.encode([1])
+        return min(d for d in range(1, self.n + 1)
+                   if self.n % d == 0 and self.power(i, d) == one)
+
+
+LOG_METHODS = ("_add_index_log", "_mul_index_log", "_neg_index_log",
+               "_inv_index_log")
+
+
+def check_against_reference(F, pairs, elements):
+    """Both the bound tier and the log-domain methods against PolyReference."""
+    ref = PolyReference(F)
+    add, mul, neg, inv = (getattr(F, m) for m in LOG_METHODS)
+    one = F.encode([1])
+    for i, j in pairs:
+        s, m = ref.add(i, j), ref.mul(i, j)
+        assert F.add_index(i, j) == add(i, j) == s, (i, j)
+        assert F.mul_index(i, j) == mul(i, j) == m, (i, j)
+    for i in range(F.size):
+        assert F.neg_index(i) == neg(i) == ref.neg(i)
+        assert add(i, neg(i)) == F.add_index(i, F.neg_index(i)) == 0
         if i:
-            assert F.inv_index(i) == G.inv_index(i)
-            assert F.order_index(i) == G.order_index(i)
-        for j in range(25):
-            assert F.add_index(i, j) == G.add_index(i, j)
-            assert F.mul_index(i, j) == G.mul_index(i, j)
-        for e in range(2):
-            assert F.frob_index(i, e) == G.frob_index(i, e)
+            assert mul(i, inv(i)) == F.mul_index(i, F.inv_index(i)) == one
+    for i in elements:
+        for e in (0, 1, 2, 5, -1, -2, -7, F.size, -F.size):
+            assert F.pow_index(i, e) == ref.power(i, e), (i, e)
+        for e in (-1, 0, 1, F.f, 2 * F.f + 1):
+            assert F.frob_index(i, e) == ref.power(i, F.p ** (e % F.ext_degree))
+        assert F.inv_index(i) == inv(i) == ref.power(i, -1)
+        assert F.order_index(i) == ref.order(i)
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (3, 1), (3, 2)])
+def test_log_tier_matches_polynomial_reference_exhaustively(p, f):
+    F = field(p, f)
+    pairs = [(i, j) for i in range(F.size) for j in range(F.size)]
+    check_against_reference(F, pairs, range(1, F.size))
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (2, 6), (3, 4)])
+def test_log_tier_matches_polynomial_reference_sampled(p, f):
+    """Fields above TABLE_LIMIT, on a fixed-stride sample of 20 000 pairs."""
+    F = field(p, f)
+    assert not F.has_tables
+    ref = PolyReference(F)
+    pairs = [(0, 0), (0, 1), (1, 0)] + [
+        ((7919 * k + 1) % F.size, (104729 * k + 3) % F.size)
+        for k in range(20000)]
+    # squares and x + (-x) hit the Zech table off the sampled strides
+    pairs += [(i, i) for i in range(0, F.size, 37)]
+    pairs += [(i, ref.neg(i)) for i in range(1, F.size, 41)]
+    check_against_reference(F, pairs, range(1, F.size, 97))
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (7, 2), (2, 6)])
+def test_zech_table_has_one_empty_entry(p, f):
+    """1 + g^k = 0 only for g^k = -1, whose log is 0 (p = 2) or n/2."""
+    F = field(p, f)
+    n = F.size - 1
+    assert len(F._zech) == n and len(F._log) == F.size
+    assert [k for k, z in enumerate(F._zech) if z < 0] == [F._neg_log]
+    assert F._neg_log == (0 if p == 2 else n // 2)
+    assert sorted(F._exp[:n]) == list(range(1, F.size))
+    assert F._exp[:n] == F._exp[n:]
+
+
+def test_log_domain_matches_size_squared_tables():
+    """Every pair of a table-backed field: log methods vs the size^2 lists."""
+    F = field(5, 2)
+    assert F.has_tables
+    add, mul, neg, inv = (getattr(F, m) for m in LOG_METHODS)
+    for i in range(F.size):
+        add_row, mul_row = F._add[i], F._mul[i]
+        assert [add(i, j) for j in range(F.size)] == add_row
+        assert [mul(i, j) for j in range(F.size)] == mul_row
+        assert neg(i) == F._neg[i]
+        if i:
+            assert inv(i) == F._inv[i]
+    # the numpy copies are the same tables
+    assert F.add_np.tolist() == F._add and F.mul_np.tolist() == F._mul
+    assert F.inv_np.tolist() == F._inv
+    assert F.powq_np.tolist() == [F.frob_index(i, F.f) for i in range(F.size)]
 
 
 def test_is_prime():
