@@ -14,6 +14,13 @@ every central scalar choice, and decides each query exactly by solving the
 invertible similitudes.  Any witness found is re-verified by direct
 multiplication before being reported.
 
+The systems are built and row-reduced on field element indices (see
+linalg), from the Frobenius twists of X, Y, Z computed once per twist
+exponent.  Rows are made on demand and the elimination stops once the rank
+is 9: the only solution is then D = 0, which is not invertible, so the
+query has no conjugator.  That is the answer for every query of a GRR
+triple, and most of them need only the first nine rows.
+
 A fast path re-evaluates the characteristic-polynomial separation
 conditions of the construction at the twist exponents an automorphism of
 order 1, 2 or 3 can actually use ({0, f}, plus {2f/3, 4f/3} when 3 | f):
@@ -24,6 +31,7 @@ the verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -154,6 +162,40 @@ def _is_form_similitude(d: Mat3) -> bool:
     return prod == w.scalar_mul(c)
 
 
+@functools.lru_cache(maxsize=64)
+def _twisted_indices(source: tuple[Mat3, ...], twist: int):
+    """Flat entry indices of each A^(phi^twist), A in source.
+
+    Cached, so a sweep computes the Frobenius twists of X, Y, Z once per
+    twist exponent instead of once per query.
+    """
+    return tuple(a.frobenius(twist).flat_indices for a in source)
+
+
+def intertwiner_rows(query: TwistedConjugacyQuery):
+    """Yield the rows of A'_k D - c_k D B_k = 0, as element indices.
+
+    One row per (k, u, v), over the nine unknowns D_{wv} (column 3w + v):
+    (A' D)_{uv} has coefficient A'_{uw} at D_{wv}, and (D B)_{uv} has
+    coefficient B_{wv} at D_{uw}.  Rows are made as the elimination asks
+    for them, so the rows after the system reaches full rank are never
+    built.
+    """
+    fld = query.source[0].field
+    add, mul, neg = fld.add_index, fld.mul_index, fld.neg_index
+    twisted = _twisted_indices(query.source, query.twist)
+    for at, b, c in zip(twisted, query.target, query.scalars):
+        ncb = [neg(mul(c.index, x)) for x in b.flat_indices]
+        for u in range(3):
+            for v in range(3):
+                row = [0] * 9
+                for w in range(3):
+                    row[3 * w + v] = at[3 * u + w]
+                for w in range(3):
+                    row[3 * u + w] = add(row[3 * u + w], ncb[3 * w + v])
+                yield row
+
+
 def solve_twisted_conjugacy(query: TwistedConjugacyQuery) -> Mat3 | None:
     """Find D with D^-1 . A_k^(phi^i) . D = c_k . B_k, or certify none exists.
 
@@ -163,19 +205,7 @@ def solve_twisted_conjugacy(query: TwistedConjugacyQuery) -> Mat3 | None:
     checked by direct multiplication.
     """
     fld = query.source[0].field
-    zero = fld.zero
-    rows = []
-    for a, b, c in zip(query.source, query.target, query.scalars):
-        at = a.frobenius(query.twist)
-        for u in range(3):
-            for v in range(3):
-                row = [zero] * 9
-                for w in range(3):
-                    # (A' D)_{uv}: coeff of D_{wv} is A'_{uw}
-                    row[3 * w + v] = row[3 * w + v] + at.entry(u, w)
-                    # (D B)_{uv}: coeff of D_{uw} is B_{wv}
-                    row[3 * u + w] = row[3 * u + w] - c * b.entry(w, v)
-                rows.append(row)
+    rows = intertwiner_rows(query)
     basis = nullspace(rows, 9, fld)
     if not basis:
         return None

@@ -100,8 +100,8 @@ def _validate_connection_set(t: GeneratorTriple):
             raise ConnectionSetError(f"{n1} and {n2} coincide projectively")
 
 
-def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
-    field = t.field
+def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
+    """Refuse a graph the BFS cannot or should not build, before any work."""
     if not field.has_tables:
         raise GraphSizeError("graph construction needs a table-backed field")
     if expected_order > DEFAULT_MAX_VERTICES and not allow_large:
@@ -109,6 +109,11 @@ def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
             f"|PSU3({field.q})| = {expected_order} vertices exceeds the "
             f"default gate of {DEFAULT_MAX_VERTICES}; pass allow_large=True "
             "(CLI: --allow-large-graph) to build it anyway")
+
+
+def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
+    field = t.field
+    check_graph_gate(field, expected_order, allow_large)
     _validate_connection_set(t)
     canon = _canonicalizer(field)
     mul9 = _mat_mul_flat(field)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from .autcheck import aut_group_trivial
-from .cayley import build_graph, edge_list_sha256, export_graph
+from .cayley import (build_graph, check_graph_gate, edge_list_sha256,
+                     export_graph)
 from .construct import (ConstructionError, NoValidParams, UnsupportedQ,
                         build_triple, count_valid_b, search_params)
 from .gf import TABLE_LIMIT, field
@@ -568,10 +569,11 @@ def main(argv=None) -> int:
 
         if args.command == "export-graph":
             fld = field(args.p, args.f)
+            expected = expected_group_order(fld.q)
+            check_graph_gate(fld, expected, args.allow_large_graph)
             cp = search_params(fld)
             t = build_triple(cp)
             cert = group_order(t)
-            expected = expected_group_order(fld.q)
             if cert.order != expected:
                 sys.stderr.write("generation certificate failed\n")
                 return EXIT_STAGE_FAILED

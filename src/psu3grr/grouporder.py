@@ -433,15 +433,13 @@ def _eigenvalues(m: Mat3):
     return [lam for lam in m.field.elements() if cp.eval(lam).is_zero()]
 
 
-def _minus_lambda(m: Mat3, lam: FieldElem) -> list[list[FieldElem]]:
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            x = m.entry(i, j)
-            row.append(x - lam if i == j else x)
-        rows.append(row)
-    return rows
+def _minus_lambda(m: Mat3, lam: FieldElem) -> list[list[int]]:
+    """The rows of M - lam * I, as element indices."""
+    fld = m.field
+    neg_lam = fld.neg_index(lam.index)
+    e = m.flat_indices
+    return [[fld.add_index(e[3 * i + j], neg_lam) if i == j else e[3 * i + j]
+             for j in range(3)] for i in range(3)]
 
 
 def _has_common_eigenline(mats) -> bool:
@@ -489,16 +487,17 @@ def commutant_dimension(t: GeneratorTriple) -> int:
 
 
 def commutant_dimension_of(mats, field: Field) -> int:
-    zero = field.zero
+    add, neg = field.add_index, field.neg_index
     rows = []
     for m in mats:
+        e = m.flat_indices
         for i in range(3):
             for j in range(3):
-                row = [zero] * 9
+                row = [0] * 9
                 for k in range(3):
                     # (DM)_{ij}: coeff of D_{ik} is M_{kj}
-                    row[3 * i + k] = row[3 * i + k] + m.entry(k, j)
+                    row[3 * i + k] = add(row[3 * i + k], e[3 * k + j])
                     # (MD)_{ij}: coeff of D_{kj} is M_{ik}
-                    row[3 * k + j] = row[3 * k + j] - m.entry(i, k)
+                    row[3 * k + j] = add(row[3 * k + j], neg(e[3 * i + k]))
                 rows.append(row)
     return len(nullspace(rows, 9, field))

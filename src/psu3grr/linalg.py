@@ -1,63 +1,87 @@
-"""Exact Gaussian elimination over GF(q^2).
+"""Exact Gaussian elimination over GF(q^2), on field element indices.
 
 Small dense systems only: the package never solves anything bigger than the
-27-equation, 9-unknown intertwiner systems, so plain row reduction over
-FieldElem entries is the right tool.
+27-equation, 9-unknown intertwiner systems.  Rows are lists of element
+indices and every operation goes through the field's index arithmetic
+(add_index, mul_index, neg_index, inv_index), so one routine serves the
+table tier and the log/Zech tier and no FieldElem is made while reducing.
+
+Rows are inserted one at a time into a fully reduced echelon basis, and
+insertion stops as soon as the rank equals the number of columns.  This
+early stop is sound: a basis of rank ncols spans all of GF(q^2)^ncols,
+which contains every later row, so no later row can change the row space,
+nor therefore its (unique) reduced echelon form, and the nullspace is {0}.
+Every intertwiner system of a GRR triple's aut sweep has full rank 9; at
+q = 5 and 8, two thirds of them reach it after the first nine of their 27
+rows, and none needs more than 21.
 """
 
 from __future__ import annotations
 
+import bisect
+from collections.abc import Iterable
+
 from .gf import Field, FieldElem
 
 
-def rref(rows: list[list[FieldElem]], field: Field):
-    """Reduced row echelon form in place; returns the pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+def rref(rows: Iterable[list[int]], ncols: int, field: Field):
+    """Reduced row echelon form of the row space of rows (index rows).
+
+    Returns (basis, pivots): basis[r] is a row of element indices with a 1
+    in column pivots[r] and 0 in every other pivot column, and pivots is
+    ascending.  The reduced row echelon form of a row space is unique, so
+    the result does not depend on the order of the input rows.  The input
+    rows are not modified, and rows is read only up to the row that brings
+    the rank to ncols, so it may be a generator that makes rows on demand.
+    """
+    add, mul = field.add_index, field.mul_index
+    neg, inv = field.neg_index, field.inv_index
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        # reduce against the basis: clear every pivot column of the row
+        for b, pc in zip(basis, pivots):
+            x = row[pc]
+            if x:
+                nx = neg(x)
+                row = [add(y, mul(nx, z)) if z else y for y, z in zip(row, b)]
+        c = next((k for k, y in enumerate(row) if y), None)
+        if c is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        s = inv(row[c])
+        row = [mul(s, y) if y else 0 for y in row]
+        # clear the new pivot column from the basis rows
+        for r, b in enumerate(basis):
+            x = b[c]
+            if x:
+                nx = neg(x)
+                basis[r] = [add(z, mul(nx, y)) if y else z
+                            for z, y in zip(b, row)]
+        at = bisect.bisect(pivots, c)
+        basis.insert(at, row)
+        pivots.insert(at, c)
+        if len(pivots) == ncols:
             break
-    return pivots
+    return basis, pivots
 
 
-def nullspace(rows: list[list[FieldElem]], ncols: int, field: Field):
-    """Basis of the right nullspace {v : rows . v = 0}.
+def nullspace(rows: Iterable[list[int]], ncols: int, field: Field):
+    """Basis of the right nullspace {v : rows . v = 0} of index rows.
 
     Returns a list of ncols-tuples of FieldElem, one per free column, in
-    ascending free-column order (deterministic).
+    ascending free-column order (deterministic): the vector with a 1 in its
+    free column, 0 in the other free columns and minus the basis entries in
+    the pivot columns.  A system of full rank has the empty basis.
     """
-    work = [list(row) for row in rows if any(row)]
-    if not work:
-        one, zero = field.one, field.zero
-        return [tuple(one if i == j else zero for i in range(ncols))
-                for j in range(ncols)]
-    pivots = rref(work, field)
+    basis, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    zero, one = field.zero, field.one
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        basis.append(tuple(v))
-    return basis
+    out = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [0] * ncols
+        v[fc] = field.one.index
+        for b, pc in zip(basis, pivots):
+            v[pc] = field.neg_index(b[fc])
+        out.append(tuple(FieldElem(field, i) for i in v))
+    return out

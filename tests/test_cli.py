@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from psu3grr import cli
 from psu3grr.cli import (EXIT_OK, EXIT_REFUSED, EXIT_STAGE_FAILED, RunConfig,
                          VERDICT_STAGES, _close_stages, certificate_hash,
                          main, run_certify, run_negative_control_q3)
@@ -105,6 +106,27 @@ def test_big_field_certificates_are_pinned(p, f):
     assert cert["certificate_hash"] == BIG_FIELD_HASHES[p ** f]
 
 
+# certificate_hash of the full verdict run; it covers the aut stage's
+# oracle_path, one entry per twisted-conjugacy query
+VERDICT_HASHES = {
+    4: "53c39d7bb6ba6e527f9a5ed6c8618de90ae76d65eb65b7ec0ab028282958a421",
+    5: "c68483d69030cbb134c47101c64a2f18877ee50d0dd1fdf41232e80ca6b9522b",
+    7: "9f194c55004ce51a36d69dfea676879a3a51b4973535fdc9fd5ea7aba3d51aa6",
+    8: "028e63182b79219e4727e1c32e16f8fc7c9d4f9a4986b982eeb3881d50438f3a",
+    9: "37f2e8cad9ad3c4ce3a7f1e5c6c01ea27304a91e2b276bd8f8fb8faa2129cd6f",
+    11: "b5d6531af3f524074286b944fd2c5f0945784abab02e8877a3823657c2c2c3c7",
+}
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1)])
+def test_verdict_certificates_are_pinned(p, f):
+    cert, code = run_certify(RunConfig(p, f))
+    assert code == EXIT_OK
+    assert cert["verdict"] == "GRR_CONFIRMED"
+    assert cert["certificate_hash"] == VERDICT_HASHES[p ** f]
+
+
 def test_main_search_params(capsys):
     assert main(["search-params", "--p", "5", "--f", "1"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -148,6 +170,23 @@ def test_main_export_graph(tmp_path, capsys):
     data = out.read_bytes()
     assert data.startswith(b"p edge 62400 93600\n")
     assert len(data.splitlines()) == 93601
+
+
+@pytest.mark.parametrize("p,f,message", [
+    (3, 3, "282056445216 vertices exceeds the default gate"),
+    (7, 2, "graph construction needs a table-backed field"),
+])
+def test_export_graph_refuses_before_the_chain(p, f, message, monkeypatch,
+                                               tmp_path, capsys):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("generation chain built before the graph gate")
+    monkeypatch.setattr(cli, "group_order", no_chain)
+    out = tmp_path / "graph.edges"
+    code = main(["export-graph", "--p", str(p), "--f", str(f),
+                 "--out", str(out)])
+    assert code == EXIT_STAGE_FAILED
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_out_file(tmp_path):
