@@ -7,6 +7,35 @@ first closure from the identity under left multiplication by {X, Y, Z}
 enumerates the group deterministically (the identity coset gets index 0)
 and yields the undirected edges {g, sg} at the same time.
 
+The closure runs one BFS level at a time on numpy index arrays:
+
+* A level is an (F, 9) array of the field indices of one member of each
+  of its cosets.  The children s * g for s = X, Y, Z are formed with row
+  gathers from the field's `mul_np`/`add_np` tables, in (parent,
+  generator) order, parent-major.
+* Each coset is keyed by its least member, packed into one int64 in base
+  |GF(q^2)| with entry 0 most significant, so numeric order of keys is the
+  lexicographic order of flat index tuples.  Packing needs
+  |GF(q^2)|^9 = q^18 < 2^63, i.e. q <= 11; `check_graph_gate` refuses
+  larger q before any work.
+* A child is looked up only among the keys of the previous and the
+  current level.  This finds every known vertex: X, Y and Z are
+  involutions (checked by `_validate_connection_set`), so g = s(sg) and
+  the graph is undirected; hence BFS distances of neighbours differ by at
+  most one, and every neighbour of a vertex of level L lies in level
+  L - 1, L or L + 1.  The children not found there form level L + 1.
+* The new vertices are numbered in the order they first appear in the
+  (parent, generator) sequence.  That is the numbering of the sequential
+  BFS (pop vertices in index order, try X, Y, Z, number each unseen coset
+  next): it numbers levels in turn, since a FIFO queue holds every vertex
+  of level L before any of level L + 1, and within level L + 1 it numbers
+  each vertex when it first appears as a child in that same sequence.  So
+  labels, edges and every export are the same as the sequential BFS's.
+
+No per-vertex or per-edge Python object is made while building, hashing or
+exporting a graph: `CayleyGraph` holds index arrays, and exports are
+written in chunks straight from them.
+
 The full graph is only built for groups up to |PSU3(5)| = 126000 vertices
 unless explicitly overridden; nothing downstream needs the explicit graph,
 it exists for export and independent cross-checks.
@@ -16,12 +45,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .construct import GeneratorTriple
 from .gf import Field
 from .mat3 import Mat3, matrix_order, projectively_equal, su3_center_scalars
 
 DEFAULT_MAX_VERTICES = 126000
+# Largest q whose coset keys fit in an int64: |GF(q^2)|^9 = q^18 < 2^63.
+MAX_KEY_Q = 11
+# Numbers per chunk when an export is formatted or hashed.
+EXPORT_CHUNK = 1 << 16
 
 
 class ConnectionSetError(ValueError):
@@ -29,63 +65,77 @@ class ConnectionSetError(ValueError):
 
 
 class GraphSizeError(RuntimeError):
-    """Graph too large for the default gate; pass allow_large to override."""
+    """Graph refused by `check_graph_gate` before any work."""
 
 
-def _canonicalizer(field: Field):
-    """key9 -> lexicographically least flat tuple over center multiples."""
-    scalars = [c.index for c in su3_center_scalars(field) if c != field.one]
-    if not scalars:
-        return lambda key: key
-    mul = field._mul
-    rows = [mul[c] for c in scalars]
-    def canon(key):
-        best = key
-        for row in rows:
-            cand = (row[key[0]], row[key[1]], row[key[2]],
-                    row[key[3]], row[key[4]], row[key[5]],
-                    row[key[6]], row[key[7]], row[key[8]])
-            if cand < best:
-                best = cand
-        return best
-    return canon
+class _CosetKeys:
+    """Packs the least member of each coset of a column of flat indices."""
+
+    def __init__(self, field: Field):
+        self.size = field.size
+        self.scalar_rows = [field.mul_np[c.index]
+                            for c in su3_center_scalars(field)
+                            if c != field.one]
+
+    def _pack(self, cols: np.ndarray) -> np.ndarray:
+        key = cols[0].astype(np.int64)
+        for col in cols[1:]:
+            key *= self.size
+            key += col
+        return key
+
+    def __call__(self, cols: np.ndarray) -> np.ndarray:
+        """Keys of the (9, F) matrices given column-wise."""
+        keys = self._pack(cols)
+        for scalar in self.scalar_rows:
+            np.minimum(keys, self._pack(scalar.take(cols)), out=keys)
+        return keys
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The (n, 9) flat index rows of n keys (uint8: size <= 121)."""
+        rows = np.empty((len(keys), 9), dtype=np.uint8)
+        for j in range(8, -1, -1):
+            keys, rows[:, j] = np.divmod(keys, self.size)
+        return rows
 
 
-def _mat_mul_flat(field: Field):
-    mul = field._mul
-    add = field._add
-    def mul9(m, n):
-        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-        n0, n1, n2, n3, n4, n5, n6, n7, n8 = n
-        return (
-            add[add[mul[m0][n0]][mul[m1][n3]]][mul[m2][n6]],
-            add[add[mul[m0][n1]][mul[m1][n4]]][mul[m2][n7]],
-            add[add[mul[m0][n2]][mul[m1][n5]]][mul[m2][n8]],
-            add[add[mul[m3][n0]][mul[m4][n3]]][mul[m5][n6]],
-            add[add[mul[m3][n1]][mul[m4][n4]]][mul[m5][n7]],
-            add[add[mul[m3][n2]][mul[m4][n5]]][mul[m5][n8]],
-            add[add[mul[m6][n0]][mul[m7][n3]]][mul[m8][n6]],
-            add[add[mul[m6][n1]][mul[m7][n4]]][mul[m8][n7]],
-            add[add[mul[m6][n2]][mul[m7][n5]]][mul[m8][n8]],
-        )
-    return mul9
+def _left_mul(field: Field, s, cols: np.ndarray) -> np.ndarray:
+    """s * g for every matrix g of a (9, F) array given column-wise."""
+    size, mul, add = field.size, field.mul_np, field.add_np.ravel()
+    out = np.empty_like(cols)
+    for i in range(3):
+        r0, r1, r2 = (mul[e] for e in s[3 * i:3 * i + 3])
+        for j in range(3):
+            acc = add.take(r0.take(cols[j]) * size + r1.take(cols[3 + j]))
+            out[3 * i + j] = add.take(acc * size + r2.take(cols[6 + j]))
+    return out
+
+
+def _key_index(labels: np.ndarray) -> dict:
+    return {tuple(k): i for i, k in enumerate(labels.tolist())}
 
 
 @dataclass
 class CayleyGraph:
     vertex_count: int
-    edges: list[tuple[int, int]]          # sorted, u < v in each pair
-    vertex_labels: list[tuple[int, ...]]  # index -> canonical coset key
-    key_index: dict
+    edges: np.ndarray   # (m, 2): u < v in each row, rows sorted
+    labels: np.ndarray  # (n, 9): vertex -> canonical coset key
     field: Field
+
+    @cached_property
+    def key_index(self) -> dict:
+        """Canonical coset key (flat index tuple) -> vertex index."""
+        return _key_index(self.labels)
+
+    @cached_property
+    def _keys(self) -> _CosetKeys:
+        return _CosetKeys(self.field)
 
     def mul_index(self, i: int, j: int) -> int:
         """Index of the product of vertices i and j (group multiplication)."""
-        if not hasattr(self, "_mul9"):
-            self._mul9 = _mat_mul_flat(self.field)
-            self._canon = _canonicalizer(self.field)
-        return self.key_index[self._canon(self._mul9(self.vertex_labels[i],
-                                                     self.vertex_labels[j]))]
+        prod = _left_mul(self.field, self.labels[i], self.labels[j][:, None])
+        key = self._keys.unpack(self._keys(prod))[0]
+        return self.key_index[tuple(key.tolist())]
 
 
 def _validate_connection_set(t: GeneratorTriple):
@@ -109,65 +159,140 @@ def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
             f"|PSU3({field.q})| = {expected_order} vertices exceeds the "
             f"default gate of {DEFAULT_MAX_VERTICES}; pass allow_large=True "
             "(CLI: --allow-large-graph) to build it anyway")
+    if field.q > MAX_KEY_Q:
+        raise GraphSizeError(
+            f"q = {field.q}: the graph packs each coset key into an int64, "
+            f"which needs |GF(q^2)|^9 < 2^63, i.e. q <= {MAX_KEY_Q}")
 
 
 def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
+    """(labels, edges) of the level-synchronous closure; see the module doc."""
     field = t.field
     check_graph_gate(field, expected_order, allow_large)
     _validate_connection_set(t)
-    canon = _canonicalizer(field)
-    mul9 = _mat_mul_flat(field)
+    coset_key = _CosetKeys(field)
     gens = [m.flat_indices for m in t.matrices]
     ident = Mat3.identity(field).flat_indices
-    root = canon(ident)
-    key_index = {root: 0}
-    labels = [root]
-    reps = [ident]
-    edges = set()
-    pos = 0
-    while pos < len(reps):
-        g = reps[pos]
-        for s in gens:
-            h = mul9(s, g)
-            k = canon(h)
-            idx = key_index.get(k)
-            if idx is None:
-                idx = len(labels)
-                key_index[k] = idx
-                labels.append(k)
-                reps.append(h)
-            a, b = (pos, idx) if pos < idx else (idx, pos)
-            if a == b:
-                raise ConnectionSetError("loop edge: a generator fixes a coset")
-            edges.add((a, b))
-        pos += 1
-    if len(labels) != expected_order:
+    frontier = np.array(ident, dtype=np.int32)[:, None]  # (9, F)
+    level_keys = coset_key(frontier)
+    prev_keys = level_keys[:0]
+    key_levels = [level_keys]
+    edge_levels = []
+    start = 0  # index of the first vertex of the current level
+    n = 1
+    while frontier.shape[1]:
+        # columns in (parent, generator) order, parent-major
+        children = np.stack([_left_mul(field, s, frontier) for s in gens],
+                            axis=2).reshape(9, -1)
+        keys = coset_key(children)
+        parents = np.repeat(np.arange(start, n), len(gens))
+        # look each child up among the previous and the current level
+        known = np.concatenate([prev_keys, level_keys])
+        order = np.argsort(known)
+        pos = np.minimum(np.searchsorted(known[order], keys), len(known) - 1)
+        found = known[order[pos]] == keys
+        idx = np.empty(len(keys), dtype=np.int64)
+        idx[found] = start - len(prev_keys) + order[pos[found]]
+        # number the new cosets by first appearance
+        new = np.flatnonzero(~found)
+        new_keys, first, inverse = np.unique(
+            keys[new], return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        number = np.empty(len(new_keys), dtype=np.int64)
+        number[by_first] = np.arange(n, n + len(new_keys))
+        idx[new] = number[inverse]
+        if np.any(idx == parents):
+            raise ConnectionSetError("loop edge: a generator fixes a coset")
+        edge_levels.append(np.minimum(parents, idx) << 32
+                           | np.maximum(parents, idx))
+        prev_keys, level_keys = level_keys, new_keys[by_first]
+        key_levels.append(level_keys)
+        frontier = children[:, new[first[by_first]]]
+        start, n = n, n + len(new_keys)
+        if n > expected_order:
+            break
+    if n != expected_order:
         raise RuntimeError(
-            f"group closure found {len(labels)} elements, certificate says "
+            f"group closure found {n} elements, certificate says "
             f"{expected_order}")
-    return labels, key_index, sorted(edges)
+    labels = coset_key.unpack(np.concatenate(key_levels))
+    # each edge {g, sg} is found from both ends: keep one copy, sorted
+    packed = np.sort(np.concatenate(edge_levels))
+    packed = packed[np.append(True, packed[1:] != packed[:-1])]
+    edges = np.stack([packed >> 32, packed & 0xFFFFFFFF], axis=1)
+    return labels, edges
 
 
 def enumerate_group(t: GeneratorTriple, expected_order: int,
                     allow_large: bool = False) -> dict:
     """Canonical-key -> index bijection for PSU3(q); identity is index 0."""
-    _, key_index, _ = _bfs(t, expected_order, allow_large)
-    return key_index
+    labels, _ = _bfs(t, expected_order, allow_large)
+    return _key_index(labels)
 
 
 def build_graph(t: GeneratorTriple, expected_order: int,
                 allow_large: bool = False) -> CayleyGraph:
-    labels, key_index, edges = _bfs(t, expected_order, allow_large)
+    labels, edges = _bfs(t, expected_order, allow_large)
     n = len(labels)
     if len(edges) * 2 != 3 * n:
         raise RuntimeError(f"edge count {len(edges)} != 3n/2")
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    if any(d != 3 for d in degree):
+    if np.any(np.bincount(edges.ravel(), minlength=n) != 3):
         raise RuntimeError("graph is not 3-regular")
-    return CayleyGraph(n, edges, labels, key_index, t.field)
+    return CayleyGraph(n, edges, labels, t.field)
+
+
+def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:
+    """Each value in decimal followed by its separator byte.
+
+    A value of -1 writes its separator alone (an empty adjacency line).
+    """
+    width = len(str(max(int(values.max(initial=0)), 0)))
+    buf = np.empty((len(values), width + 1), dtype=np.uint8)
+    rest = np.maximum(values, 0)
+    ndigits = np.where(values < 0, 0, 1)
+    for col in range(width - 1, -1, -1):
+        buf[:, col] = 48 + rest % 10
+        rest //= 10
+        if col:
+            ndigits += values >= 10 ** (width - col)
+    buf[:, width] = seps
+    keep = np.arange(width + 1) >= width - ndigits[:, None]
+    return buf[keep].tobytes()
+
+
+def _token_chunks(values: np.ndarray, seps: np.ndarray):
+    for lo in range(0, len(values), EXPORT_CHUNK):
+        yield _decimal(values[lo:lo + EXPORT_CHUNK], seps[lo:lo + EXPORT_CHUNK])
+
+
+def _edge_list_chunks(g: CayleyGraph):
+    yield f"p edge {g.vertex_count} {len(g.edges)}\n".encode()
+    seps = np.tile(np.array([32, 10], dtype=np.uint8), len(g.edges))
+    yield from _token_chunks(g.edges.ravel(), seps)
+
+
+def _adjacency_chunks(g: CayleyGraph):
+    yield f"p adj {g.vertex_count} {len(g.edges)}\n".encode()
+    rows = g.edges.ravel()
+    cols = g.edges[:, ::-1].ravel()
+    isolated = np.flatnonzero(
+        np.bincount(rows, minlength=g.vertex_count) == 0)
+    rows = np.concatenate([rows, isolated])
+    cols = np.concatenate([cols, np.full(len(isolated), -1)])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    line_end = np.ones(len(rows), dtype=bool)
+    line_end[:-1] = rows[1:] != rows[:-1]
+    yield from _token_chunks(cols, np.where(line_end, 10, 32).astype(np.uint8))
+
+
+def export_chunks(g: CayleyGraph, fmt: str = "edge-list"):
+    """The bytes of `export_graph(g, fmt)`, as an iterator of chunks."""
+    if fmt == "edge-list":
+        return _edge_list_chunks(g)
+    if fmt == "adjacency":
+        return _adjacency_chunks(g)
+    raise ValueError(f"unsupported export format: {fmt}")
 
 
 def export_graph(g: CayleyGraph, fmt: str = "edge-list") -> bytes:
@@ -177,35 +302,23 @@ def export_graph(g: CayleyGraph, fmt: str = "edge-list") -> bytes:
     sorted.  adjacency: header "p adj N M", then line i holds the sorted
     neighbors of vertex i.
     """
-    if fmt == "edge-list":
-        lines = [f"p edge {g.vertex_count} {len(g.edges)}"]
-        lines.extend(f"{u} {v}" for u, v in g.edges)
-        return ("\n".join(lines) + "\n").encode()
-    if fmt == "adjacency":
-        nbrs = [[] for _ in range(g.vertex_count)]
-        for u, v in g.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        lines = [f"p adj {g.vertex_count} {len(g.edges)}"]
-        lines.extend(" ".join(str(x) for x in sorted(row)) for row in nbrs)
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unsupported export format: {fmt}")
+    return b"".join(export_chunks(g, fmt))
 
 
-def import_edge_list(data: bytes) -> tuple[int, list[tuple[int, int]]]:
-    lines = data.decode().splitlines()
-    tag, kind, n, m = lines[0].split()
-    if tag != "p" or kind != "edge":
+def import_edge_list(data: bytes) -> tuple[int, np.ndarray]:
+    header, _, body = data.partition(b"\n")
+    tag, kind, n, m = header.split()
+    if tag != b"p" or kind != b"edge":
         raise ValueError("not an edge-list export")
     n, m = int(n), int(m)
-    edges = []
-    for line in lines[1:]:
-        u, v = line.split()
-        edges.append((int(u), int(v)))
-    if len(edges) != m:
+    tokens = body.split()
+    if len(tokens) != 2 * m or body.count(b"\n") != m:
         raise ValueError("edge count mismatch in edge-list import")
-    return n, edges
+    return n, np.array(tokens, dtype=np.int64).reshape(m, 2)
 
 
 def edge_list_sha256(g: CayleyGraph) -> str:
-    return hashlib.sha256(export_graph(g, "edge-list")).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in export_chunks(g, "edge-list"):
+        digest.update(chunk)
+    return digest.hexdigest()

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import __version__
 from .autcheck import aut_group_trivial
 from .cayley import (build_graph, check_graph_gate, edge_list_sha256,
-                     export_graph)
+                     export_chunks)
 from .construct import (ConstructionError, NoValidParams, UnsupportedQ,
                         build_triple, count_valid_b, search_params)
 from .gf import TABLE_LIMIT, field
@@ -579,7 +579,7 @@ def main(argv=None) -> int:
                 return EXIT_STAGE_FAILED
             g = build_graph(t, expected, allow_large=args.allow_large_graph)
             with open(args.out, "wb") as fh:
-                fh.write(export_graph(g, args.format))
+                fh.writelines(export_chunks(g, args.format))
             sys.stdout.write(stable_json({
                 "written": args.out,
                 "format": args.format,

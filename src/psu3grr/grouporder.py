@@ -428,9 +428,16 @@ def dihedral_image_order(t: GeneratorTriple,
 # Irreducibility
 # ---------------------------------------------------------------------------
 
-def _eigenvalues(m: Mat3):
-    cp = m.char_poly()
-    return [lam for lam in m.field.elements() if cp.eval(lam).is_zero()]
+def _eigenvalues(m: Mat3) -> list[FieldElem]:
+    """Roots of the characteristic polynomial of m, in index order.
+
+    A Horner evaluation at every field element, in index arithmetic.
+    """
+    fld = m.field
+    add, mul = fld.add_index, fld.mul_index
+    c2, c1, c0 = (c.index for c in m.char_poly().as_tuple())
+    return [FieldElem(fld, x) for x in range(fld.size)
+            if add(mul(add(mul(add(x, c2), x), c1), x), c0) == 0]
 
 
 def _minus_lambda(m: Mat3, lam: FieldElem) -> list[list[int]]:
@@ -442,23 +449,24 @@ def _minus_lambda(m: Mat3, lam: FieldElem) -> list[list[int]]:
              for j in range(3)] for i in range(3)]
 
 
-def _has_common_eigenline(mats) -> bool:
+def _has_common_eigenline(mats, eigenvalues) -> bool:
     """Is there one line fixed (as a column eigenline) by all three matrices?
 
     Any common invariant line is a simultaneous eigenline, so it shows up as
     a nonzero intersection null(A - l1) & null(B - l2) & null(C - l3) for
     some eigenvalue triple; conversely any such nonzero vector spans a
-    common invariant line.
+    common invariant line.  eigenvalues[i] lists those of mats[i].
     """
     field = mats[0].field
     a, b, c = mats
-    for la in _eigenvalues(a):
+    eig_a, eig_b, eig_c = eigenvalues
+    for la in eig_a:
         rows_a = _minus_lambda(a, la)
-        for lb in _eigenvalues(b):
+        for lb in eig_b:
             rows_ab = rows_a + _minus_lambda(b, lb)
             if not nullspace(rows_ab, 3, field):
                 continue
-            for lc in _eigenvalues(c):
+            for lc in eig_c:
                 rows = rows_ab + _minus_lambda(c, lc)
                 if nullspace(rows, 3, field):
                     return True
@@ -469,12 +477,15 @@ def invariant_subspace_test(t: GeneratorTriple) -> bool:
     """True iff the triple fixes no line and no plane of GF(q^2)^3.
 
     A common invariant plane for the triple is a common invariant line for
-    the transposes, so both cases reduce to the eigenline search.
+    the transposes, so both cases reduce to the eigenline search.  A matrix
+    and its transpose have the same characteristic polynomial, so the
+    eigenvalues are found once, by three scans of the field.
     """
     mats = list(t.matrices)
+    eigenvalues = [_eigenvalues(m) for m in mats]
     transposed = [m.transpose() for m in mats]
-    return not (_has_common_eigenline(transposed)
-                or _has_common_eigenline(mats))
+    return not (_has_common_eigenline(transposed, eigenvalues)
+                or _has_common_eigenline(mats, eigenvalues))
 
 
 def commutant_dimension(t: GeneratorTriple) -> int:

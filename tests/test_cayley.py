@@ -2,15 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from psu3grr.cayley import (CayleyGraph, ConnectionSetError, GraphSizeError,
-                            build_graph, edge_list_sha256, enumerate_group,
-                            export_graph, import_edge_list)
+from psu3grr.cayley import (MAX_KEY_Q, CayleyGraph, ConnectionSetError,
+                            GraphSizeError, build_graph, check_graph_gate,
+                            edge_list_sha256, enumerate_group, export_graph,
+                            import_edge_list)
 from psu3grr.construct import GeneratorTriple, build_triple, search_params
 from psu3grr.gf import field
 from psu3grr.grouporder import expected_group_order
-from psu3grr.mat3 import Mat3
+from psu3grr.mat3 import Mat3, su3_center_scalars
 
 
 def _graph(p, f, **kw):
@@ -19,15 +21,27 @@ def _graph(p, f, **kw):
     return t, build_graph(t, expected_group_order(F.q), **kw)
 
 
-def test_toy_export_format():
+def _toy(n, edges):
     F = field(5, 1)
-    g = CayleyGraph(2, [(0, 1)], [(0,) * 9, (1,) * 9], {}, F)
+    labels = np.arange(n)[:, None].repeat(9, axis=1)
+    return CayleyGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                       labels, F)
+
+
+def test_toy_export_format():
+    g = _toy(2, [(0, 1)])
     assert export_graph(g, "edge-list") == b"p edge 2 1\n0 1\n"
 
 
+def test_toy_adjacency_keeps_isolated_vertices():
+    g = _toy(4, [(0, 2), (2, 3)])
+    assert export_graph(g, "adjacency") == b"p adj 4 2\n2\n\n0 3\n2\n"
+    assert export_graph(_toy(2, []), "adjacency") == b"p adj 2 0\n\n\n"
+    assert export_graph(_toy(2, []), "edge-list") == b"p edge 2 0\n"
+
+
 def test_unsupported_format():
-    F = field(5, 1)
-    g = CayleyGraph(2, [(0, 1)], [(0,) * 9, (1,) * 9], {}, F)
+    g = _toy(2, [(0, 1)])
     with pytest.raises(ValueError):
         export_graph(g, "graphml")
 
@@ -51,7 +65,8 @@ def test_graph_q4_structure():
         degree[u] += 1
         degree[v] += 1
     assert set(degree) == {3}
-    assert g.edges == sorted(g.edges)
+    packed = g.edges[:, 0] * g.vertex_count + g.edges[:, 1]
+    assert np.all(packed[1:] > packed[:-1])  # sorted, no repeats
 
 
 def test_graph_q4_connected():
@@ -81,7 +96,7 @@ def test_export_round_trip():
     _, g = _graph(2, 2)
     data = export_graph(g, "edge-list")
     n, edges = import_edge_list(data)
-    assert n == g.vertex_count and edges == g.edges
+    assert n == g.vertex_count and np.array_equal(edges, g.edges)
     assert edge_list_sha256(g) == edge_list_sha256(g)
     adj = export_graph(g, "adjacency")
     assert adj.startswith(b"p adj 62400 93600\n")
@@ -92,8 +107,9 @@ def test_right_translation_is_automorphism():
     """10 random translations, checked on 10^4 sampled edges overall."""
     t, g = _graph(2, 2)
     rng = random.Random(0xCAFE)
-    edge_set = set(g.edges)
-    sample = [g.edges[rng.randrange(len(g.edges))] for _ in range(1000)]
+    edges = g.edges.tolist()
+    edge_set = set(map(tuple, edges))
+    sample = [edges[rng.randrange(len(edges))] for _ in range(1000)]
     for _ in range(10):
         h = rng.randrange(g.vertex_count)
         for u, v in sample:
@@ -122,3 +138,120 @@ def test_connection_set_violations_are_rejected():
     non_involution = GeneratorTriple(cp, t.X, t.Y, t.Y * t.Z)
     with pytest.raises(ConnectionSetError):
         build_graph(non_involution, expected_group_order(F.q))
+
+
+def test_key_packing_limit_refuses_large_q():
+    # q = 13 would need 169^9 >= 2^63 for its coset keys (and 8e8 vertices)
+    F = field(13, 1)
+    t = build_triple(search_params(F))
+    with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
+        check_graph_gate(F, expected_group_order(13), allow_large=True)
+    with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
+        build_graph(t, expected_group_order(13), allow_large=True)
+    F11 = field(11, 1)
+    assert F11.size ** 9 < 2 ** 63 <= F.size ** 9
+    check_graph_gate(F11, expected_group_order(11), allow_large=True)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the sequential scalar BFS and string export the level-synchronous
+# numpy closure replaced.  Kept only to check that closure.
+# ---------------------------------------------------------------------------
+
+def _canonicalizer(field):
+    """key9 -> lexicographically least flat tuple over center multiples."""
+    scalars = [c.index for c in su3_center_scalars(field) if c != field.one]
+    if not scalars:
+        return lambda key: key
+    mul = field._mul
+    rows = [mul[c] for c in scalars]
+    def canon(key):
+        best = key
+        for row in rows:
+            cand = (row[key[0]], row[key[1]], row[key[2]],
+                    row[key[3]], row[key[4]], row[key[5]],
+                    row[key[6]], row[key[7]], row[key[8]])
+            if cand < best:
+                best = cand
+        return best
+    return canon
+
+
+def _mat_mul_flat(field):
+    mul = field._mul
+    add = field._add
+    def mul9(m, n):
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+        n0, n1, n2, n3, n4, n5, n6, n7, n8 = n
+        return (
+            add[add[mul[m0][n0]][mul[m1][n3]]][mul[m2][n6]],
+            add[add[mul[m0][n1]][mul[m1][n4]]][mul[m2][n7]],
+            add[add[mul[m0][n2]][mul[m1][n5]]][mul[m2][n8]],
+            add[add[mul[m3][n0]][mul[m4][n3]]][mul[m5][n6]],
+            add[add[mul[m3][n1]][mul[m4][n4]]][mul[m5][n7]],
+            add[add[mul[m3][n2]][mul[m4][n5]]][mul[m5][n8]],
+            add[add[mul[m6][n0]][mul[m7][n3]]][mul[m8][n6]],
+            add[add[mul[m6][n1]][mul[m7][n4]]][mul[m8][n7]],
+            add[add[mul[m6][n2]][mul[m7][n5]]][mul[m8][n8]],
+        )
+    return mul9
+
+
+def _scalar_bfs(t):
+    """(labels, key_index, sorted edges) of the sequential closure."""
+    field = t.field
+    canon = _canonicalizer(field)
+    mul9 = _mat_mul_flat(field)
+    gens = [m.flat_indices for m in t.matrices]
+    ident = Mat3.identity(field).flat_indices
+    root = canon(ident)
+    key_index = {root: 0}
+    labels = [root]
+    reps = [ident]
+    edges = set()
+    pos = 0
+    while pos < len(reps):
+        g = reps[pos]
+        for s in gens:
+            h = mul9(s, g)
+            k = canon(h)
+            idx = key_index.get(k)
+            if idx is None:
+                idx = len(labels)
+                key_index[k] = idx
+                labels.append(k)
+                reps.append(h)
+            edges.add((pos, idx) if pos < idx else (idx, pos))
+        pos += 1
+    return labels, key_index, sorted(edges)
+
+
+def _scalar_export(n, edges, fmt):
+    if fmt == "edge-list":
+        lines = [f"p edge {n} {len(edges)}"]
+        lines.extend(f"{u} {v}" for u, v in edges)
+        return ("\n".join(lines) + "\n").encode()
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    lines = [f"p adj {n} {len(edges)}"]
+    lines.extend(" ".join(str(x) for x in sorted(row)) for row in nbrs)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_level_bfs_matches_scalar_reference():
+    t, g = _graph(2, 2)
+    labels, key_index, edges = _scalar_bfs(t)
+    assert [tuple(k) for k in g.labels.tolist()] == labels
+    assert g.key_index == key_index
+    assert g.edges.tolist() == [list(e) for e in edges]
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
+def test_exports_match_scalar_reference(p, f):
+    t, g = _graph(p, f)
+    _, _, edges = _scalar_bfs(t)
+    for fmt in ("edge-list", "adjacency"):
+        assert export_graph(g, fmt) == _scalar_export(len(g.labels), edges,
+                                                      fmt), fmt

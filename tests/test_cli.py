@@ -1,5 +1,6 @@
 """CLI driver: pipeline orchestration, JSON output, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -39,7 +40,7 @@ def test_certify_q4_confirmed_with_graph():
     assert cert["verdict"] == "GRR_CONFIRMED"
     g = cert["stages"]["graph"]
     assert g["vertices"] == 62400 and g["edges"] == 93600
-    assert len(g["edge_list_sha256"]) == 64
+    assert g["edge_list_sha256"] == GRAPH_HASHES[4][1]
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (2, 1)])
@@ -127,6 +128,28 @@ def test_verdict_certificates_are_pinned(p, f):
     assert cert["certificate_hash"] == VERDICT_HASHES[p ** f]
 
 
+# (certificate_hash, edge_list_sha256) of `certify --stage graph`
+GRAPH_HASHES = {
+    4: ("a72f44c49a2c03f94b527ecd309b80d0008022d8a8cb2a46582e3062b0e573f2",
+        "2ef87656d34ded88efbfc13768c57d075a538c0883b9e6993cdb8510a9454da1"),
+    5: ("368068c2abb23d32ea476423b58a5aa97b14a9083f3a219330ae813bbc8a95be",
+        "aafccf2f8fb910cdb7482f34b1c2aa3351e0f8ca230b3a290625917a34cb74a8"),
+}
+
+
+@pytest.mark.parametrize("p,f,nv,ne", [(2, 2, 62400, 93600),
+                                       (5, 1, 126000, 189000)])
+def test_graph_stage_certificates_are_pinned(p, f, nv, ne):
+    cert, code = run_certify(RunConfig(p, f, stages=("graph",)))
+    assert code == EXIT_OK
+    assert cert["verdict"] == "INCOMPLETE"
+    g = cert["stages"]["graph"]
+    assert (g["status"], g["vertices"], g["edges"]) == ("pass", nv, ne)
+    cert_hash, edge_hash = GRAPH_HASHES[p ** f]
+    assert g["edge_list_sha256"] == edge_hash
+    assert cert["certificate_hash"] == cert_hash
+
+
 def test_main_search_params(capsys):
     assert main(["search-params", "--p", "5", "--f", "1"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -170,6 +193,8 @@ def test_main_export_graph(tmp_path, capsys):
     data = out.read_bytes()
     assert data.startswith(b"p edge 62400 93600\n")
     assert len(data.splitlines()) == 93601
+    assert hashlib.sha256(data).hexdigest() == doc["edge_list_sha256"] \
+        == GRAPH_HASHES[4][1]
 
 
 @pytest.mark.parametrize("p,f,message", [

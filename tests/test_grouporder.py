@@ -193,6 +193,29 @@ def test_reducible_triples_are_detected():
     assert not invariant_subspace_test(diag_triple)
 
 
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (3, 2), (7, 2), (2, 6)])
+def test_eigenvalues_match_fieldelem_scan(p, f):
+    """Index-arithmetic roots equal a FieldElem evaluation at every element,
+    on the table tier (q <= 32) and the log tier (q = 49, 64)."""
+    F = field(p, f)
+    t = build_triple(search_params(F))
+    rng = np.random.default_rng(p * 100 + f)
+    mats = list(t.matrices) + [t.X * t.Y, t.Y * t.Z, Mat3.identity(F)]
+    for _ in range(4):
+        mats.append(Mat3.from_flat_indices(
+            F, rng.integers(0, F.size, 9).tolist()))
+        diag = [0] * 9
+        diag[0], diag[4], diag[8] = rng.integers(0, F.size, 3).tolist()
+        mats.append(Mat3.from_flat_indices(F, diag))
+    roots = 0
+    for m in mats:
+        cp = m.char_poly()
+        expected = [x for x in F.elements() if cp.eval(x).is_zero()]
+        assert grouporder._eigenvalues(m) == expected, m
+        roots += len(expected)
+    assert roots >= 12  # the diagonal matrices alone give at least 4 x 1
+
+
 def test_irreducibility_oracles_agree_on_tested_triples():
     """Both certifiers must say the same thing on every triple we test."""
     cases = []
