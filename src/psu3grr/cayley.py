@@ -10,9 +10,9 @@ and yields the undirected edges {g, sg} at the same time.
 The closure runs one BFS level at a time on numpy index arrays:
 
 * A level is an (F, 9) array of the field indices of one member of each
-  of its cosets.  The children s * g for s = X, Y, Z are formed with row
-  gathers from the field's `mul_np`/`add_np` tables, in (parent,
-  generator) order, parent-major.
+  of its cosets.  The children s * g for s = X, Y, Z are formed with the
+  field's numpy kernels (`mul_np`, `add_np`), in (parent, generator)
+  order, parent-major.
 * Each coset is keyed by its least member, packed into one int64 in base
   |GF(q^2)| with entry 0 most significant, so numeric order of keys is the
   lexicographic order of flat index tuples.  Packing needs
@@ -73,7 +73,10 @@ class _CosetKeys:
 
     def __init__(self, field: Field):
         self.size = field.size
-        self.scalar_rows = [field.mul_np[c.index]
+        elements = np.arange(field.size)
+        # int32, the dtype of the level arrays, so that each gathered (9, F)
+        # copy is half the size of an int64 one
+        self.scalar_rows = [field.mul_np(c.index, elements).astype(np.int32)
                             for c in su3_center_scalars(field)
                             if c != field.one]
 
@@ -101,13 +104,14 @@ class _CosetKeys:
 
 def _left_mul(field: Field, s, cols: np.ndarray) -> np.ndarray:
     """s * g for every matrix g of a (9, F) array given column-wise."""
-    size, mul, add = field.size, field.mul_np, field.add_np.ravel()
+    add, elements = field.add_np, np.arange(field.size)
     out = np.empty_like(cols)
     for i in range(3):
-        r0, r1, r2 = (mul[e] for e in s[3 * i:3 * i + 3])
+        # the products by s's entries, as rows over the field
+        r0, r1, r2 = (field.mul_np(e, elements) for e in s[3 * i:3 * i + 3])
         for j in range(3):
-            acc = add.take(r0.take(cols[j]) * size + r1.take(cols[3 + j]))
-            out[3 * i + j] = add.take(acc * size + r2.take(cols[6 + j]))
+            out[3 * i + j] = add(add(r0.take(cols[j]), r1.take(cols[3 + j])),
+                                 r2.take(cols[6 + j]))
     return out
 
 
@@ -152,8 +156,6 @@ def _validate_connection_set(t: GeneratorTriple):
 
 def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
     """Refuse a graph the BFS cannot or should not build, before any work."""
-    if not field.has_tables:
-        raise GraphSizeError("graph construction needs a table-backed field")
     if expected_order > DEFAULT_MAX_VERTICES and not allow_large:
         raise GraphSizeError(
             f"|PSU3({field.q})| = {expected_order} vertices exceeds the "

@@ -37,7 +37,7 @@ from .cayley import (build_graph, check_graph_gate, edge_list_sha256,
                      export_chunks)
 from .construct import (ConstructionError, NoValidParams, UnsupportedQ,
                         build_triple, count_valid_b, search_params)
-from .gf import TABLE_LIMIT, field
+from .gf import field
 from .grouporder import (IsotropicAction, OrderBoundExceeded,
                          commutant_dimension, dihedral_image_order,
                          expected_group_order, group_order,
@@ -173,11 +173,6 @@ def _stage_order(state, cfg: RunConfig) -> dict:
     t = state["triple"]
     fld = t.field
     degree = fld.q ** 3 + 1
-    if not fld.has_tables:
-        raise RuntimeError(
-            f"the order stage needs the size^2 field tables, and GF({fld.q}^2) "
-            f"has {fld.size} elements, above TABLE_LIMIT = {TABLE_LIMIT} "
-            f"(q <= 32)")
     if degree > ORDER_DEGREE_GATE and not cfg.allow_large_order:
         raise RuntimeError(
             f"permutation degree {degree} exceeds the default gate "
@@ -311,9 +306,10 @@ def run_certify(cfg: RunConfig) -> tuple[dict, int]:
                     frag = _stage_aut(state)
                 else:
                     frag = _stage_graph(state, cfg)
-            except (StageFailure, InternalInconsistency) as exc:
-                if exc.fragment is not None:
-                    cert["stages"][stage] = exc.fragment
+            except RuntimeError as exc:  # every FAILED or exit-4 cause
+                fragment = getattr(exc, "fragment", None)
+                if fragment is not None:
+                    cert["stages"][stage] = fragment
                     cert["stages_run"].append(stage)
                 cert["failed_stage"] = stage
                 raise

@@ -17,10 +17,11 @@ Determinism rules used throughout the package:
 Every field builds, once, the discrete log and antilog tables of its first
 multiplicative generator g and the Zech table Z with 1 + g^k = g^Z(k)
 (Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory
-1990): three arrays of O(q^2) entries.  Fields with at most TABLE_LIMIT
-elements derive full size^2 addition/multiplication tables (and numpy
-copies for vectorised users) from them; larger fields do every operation
-in the log domain with a few list lookups.  Either way arithmetic is O(1).
+1990): three arrays of O(q^2) entries, through which every operation goes.
+Scalar operations are a few list lookups in the log domain.  The numpy
+kernels add_np, mul_np, inv_np and powq_np, for index arrays, gather from a
+layout of the same tables that is built on first use and gives zero a log
+of its own, so that no kernel needs a mask.  Either way arithmetic is O(1).
 The polynomial routines only choose the modulus and the generator, and
 serve the tests as an independent reference.
 """
@@ -33,9 +34,6 @@ from math import gcd, isqrt
 
 import numpy as np
 
-# Fields with at most this many elements (q <= 32) also get size^2 add/mul
-# lookup tables; larger ones do arithmetic through the log/Zech tables only.
-TABLE_LIMIT = 1100
 # Hard ceiling on |GF(q^2)|; beyond this we refuse to build the field.
 SIZE_LIMIT = 1 << 20
 
@@ -211,18 +209,6 @@ class Field:
         if self._log.count(-1) != 1:  # only log[0]: g^k reaches every x != 0
             raise AssertionError("generator powers miss a nonzero element")
         self._zech = zech.tolist()
-        self.has_tables = self.size <= TABLE_LIMIT
-        if self.has_tables:
-            self._square_tables(exp, log, zech)
-            self.add_index = self._add_index_table
-            self.mul_index = self._mul_index_table
-            self.neg_index = self._neg_index_table
-            self.inv_index = self._inv_index_table
-        else:
-            self.add_index = self._add_index_log
-            self.mul_index = self._mul_index_log
-            self.neg_index = self._neg_index_log
-            self.inv_index = self._inv_index_log
 
         self.zero = FieldElem(self, 0)
         self.one = self.from_int(1)
@@ -310,33 +296,6 @@ class Field:
         one_plus = (exp + self._place[0]) % self.size
         return exp, log, log[one_plus]
 
-    def _square_tables(self, exp, log, zech):
-        """size^2 add/mul tables and their numpy copies, from the log tables."""
-        size, n = self.size, self._mult_order
-        exp, zech = exp.astype(np.int32), zech.astype(np.int32)
-        a = log[1:].astype(np.int32)  # logs of the nonzero elements, in index order
-        idx = np.arange(size, dtype=np.int32)
-        mul = np.zeros((size, size), dtype=np.int32)
-        mul[1:, 1:] = exp[(a[:, None] + a) % n]
-        add = np.empty((size, size), dtype=np.int32)
-        add[0] = idx
-        add[:, 0] = idx
-        z = zech[(a - a[:, None]) % n]  # log(1 + x_j / x_i) at [i, j]
-        add[1:, 1:] = np.where(z < 0, 0, exp[(a[:, None] + z) % n])
-        del z  # freed before the size^2 lists below are made
-        inv = np.zeros(size, dtype=np.int32)
-        inv[1:] = exp[-a % n]
-        neg = np.zeros(size, dtype=np.int32)
-        neg[1:] = exp[(a + self._neg_log) % n]
-        powq = np.zeros(size, dtype=np.int32)
-        powq[1:] = exp[a * self.q % n]
-        self._add = add.tolist()
-        self._mul = mul.tolist()
-        self._neg = neg.tolist()
-        self._inv = inv.tolist()
-        # numpy copies for vectorised users (point actions in grouporder)
-        self.add_np, self.mul_np, self.inv_np, self.powq_np = add, mul, inv, powq
-
     def _find_generator(self) -> int:
         """Index of the first multiplicative generator in enumeration order."""
         n = self._mult_order
@@ -348,25 +307,9 @@ class Field:
                 return i
         raise AssertionError("no multiplicative generator found")  # unreachable
 
-    # -- index arithmetic (table tier) --------------------------------------
+    # -- index arithmetic ----------------------------------------------------
 
-    def _add_index_table(self, i, j):
-        return self._add[i][j]
-
-    def _mul_index_table(self, i, j):
-        return self._mul[i][j]
-
-    def _neg_index_table(self, i):
-        return self._neg[i]
-
-    def _inv_index_table(self, i):
-        if i == 0:
-            raise ZeroDivisionError("inversion of the zero field element")
-        return self._inv[i]
-
-    # -- index arithmetic (log domain) ----------------------------------------
-
-    def _add_index_log(self, i, j):
+    def add_index(self, i, j):
         # g^a + g^b = g^a (1 + g^(b-a)) = g^(a + Z(b-a))
         if i == 0:
             return j
@@ -377,23 +320,21 @@ class Field:
         z = self._zech[log[j] - a]
         return 0 if z < 0 else self._exp[a + z]
 
-    def _mul_index_log(self, i, j):
+    def mul_index(self, i, j):
         if i == 0 or j == 0:
             return 0
         log = self._log
         return self._exp[log[i] + log[j]]
 
-    def _neg_index_log(self, i):
+    def neg_index(self, i):
         if i == 0:
             return 0
         return self._exp[self._log[i] + self._neg_log]
 
-    def _inv_index_log(self, i):
+    def inv_index(self, i):
         if i == 0:
             raise ZeroDivisionError("inversion of the zero field element")
         return self._exp[-self._log[i]]
-
-    # -- shared index helpers ------------------------------------------------
 
     def pow_index(self, i, e):
         if i == 0:
@@ -413,6 +354,63 @@ class Field:
             raise ValueError("the zero element has no multiplicative order")
         n = self._mult_order
         return n // gcd(n, self._log[i])
+
+    # -- numpy kernels on index arrays ---------------------------------------
+
+    @functools.cached_property
+    def _np_tables(self):
+        """(log, exp, zech, inv, powq) int64 arrays for the numpy kernels.
+
+        With n = size - 1, zero gets the log 2n and exp reads 0 from 2n on,
+        so exp[log a + log b] = a * b for every pair.  zech is indexed by
+        d = log b - log a + 2n, and exp[log a + zech[d]] = a + b:
+          n < d < 3n   a, b nonzero: Z(d - 2n), or 2n where 1 + g^(d - 2n)
+                       is zero, which sends the sum to exp[>= 2n] = 0;
+          d < n        a = 0, d = log b: d - 2n, so the sum reads exp[log b];
+          d > 3n       b = 0: 0, so the sum reads exp[log a];
+          d = 2n       also a = b = 0, where log a = 2n already reads 0.
+        inv (with inv[0] = 0) and powq, x -> x^q, are lookups by index.
+        All are int64, numpy's index type, so that one kernel's output
+        indexes the next kernel's tables without a conversion.
+        """
+        n = self._mult_order
+        log = np.array(self._log, dtype=np.int64)
+        log[0] = 2 * n
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[:2 * n] = self._exp
+        z = np.array(self._zech, dtype=np.int64)
+        z[z < 0] = 2 * n
+        zech = np.zeros(4 * n + 1, dtype=np.int64)
+        zech[:n] = np.arange(-2 * n, -n)
+        diff = np.arange(1 - n, n)  # log b - log a, both nonzero
+        zech[diff + 2 * n] = z[diff % n]
+        nonzero = log[1:]
+        inv = np.zeros(self.size, dtype=np.int64)
+        inv[1:] = exp[-nonzero % n]
+        powq = np.zeros(self.size, dtype=np.int64)
+        powq[1:] = exp[nonzero * self.q % n]
+        return log, exp, zech, inv, powq
+
+    def add_np(self, a, b):
+        """Elementwise a + b of index arrays (or ints), as int64 indices."""
+        log, exp, zech = self._np_tables[:3]
+        la = log.take(a)
+        d = log.take(b) - la
+        d += 2 * self._mult_order
+        return exp.take(la + zech.take(d))
+
+    def mul_np(self, a, b):
+        """Elementwise a * b of index arrays (or ints), as int64 indices."""
+        log, exp = self._np_tables[:2]
+        return exp.take(log.take(a) + log.take(b))
+
+    def inv_np(self, a):
+        """Elementwise inverse of an index array; zero maps to zero."""
+        return self._np_tables[3].take(a)
+
+    def powq_np(self, a):
+        """Elementwise x -> x^q of an index array."""
+        return self._np_tables[4].take(a)
 
     # -- serialization -------------------------------------------------------
 

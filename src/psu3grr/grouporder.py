@@ -68,13 +68,11 @@ class IsotropicAction:
     """Vectorised right action of matrices on the isotropic point set.
 
     Points are row vectors v acted on by v -> v * M, then renormalised.
-    Requires a field with size^2 tables (has_tables: at most TABLE_LIMIT
-    elements, so q <= 32); larger fields raise ValueError.
+    Coordinates are field index arrays, combined with the field's numpy
+    kernels (add_np, mul_np, inv_np, powq_np), so any field works.
     """
 
     def __init__(self, field: Field, form: HermitianForm | None = None):
-        if not field.has_tables:
-            raise ValueError("isotropic action needs a table-backed field")
         self.field = field
         self.form = form or standard_hermitian_form(field)
         self.point_matrix = self._enumerate_points()
@@ -91,16 +89,16 @@ class IsotropicAction:
     def _form_values(self, v0, v1, v2):
         """conj(v)^T W v for vectors given as coordinate index arrays."""
         fld = self.field
-        mul, add, powq = fld.mul_np, fld.add_np, fld.powq_np
+        add, mul = fld.add_np, fld.mul_np
         w = self.form.matrix.flat_indices
         coords = (v0, v1, v2)
         acc = np.zeros_like(v0)
         for i in range(3):
-            ci = powq[coords[i]]
+            ci = fld.powq_np(coords[i])
             for j in range(3):
                 wij = w[3 * i + j]
                 if wij:
-                    acc = add[acc, mul[mul[ci, wij], coords[j]]]
+                    acc = add(acc, mul(mul(ci, wij), coords[j]))
         return acc
 
     def _enumerate_points(self):
@@ -135,23 +133,20 @@ class IsotropicAction:
     def permutation(self, mat: Mat3) -> np.ndarray:
         """Permutation array of the point indices under v -> v * M."""
         fld = self.field
-        mul, add, inv = fld.mul_np, fld.add_np, fld.inv_np
+        add, mul = fld.add_np, fld.mul_np
         m = mat.flat_indices
         p0 = self.point_matrix[:, 0]
         p1 = self.point_matrix[:, 1]
         p2 = self.point_matrix[:, 2]
-        w = []
-        for j in range(3):
-            col = add[add[mul[p0, m[j]], mul[p1, m[3 + j]]], mul[p2, m[6 + j]]]
-            w.append(col)
-        w0, w1, w2 = w
+        w0, w1, w2 = (add(add(mul(p0, m[j]), mul(p1, m[3 + j])),
+                          mul(p2, m[6 + j])) for j in range(3))
         lead = np.where(w0 != 0, w0, np.where(w1 != 0, w1, w2))
         if not lead.all():
             raise ValueError("matrix maps a point representative to zero")
-        s = inv[lead]
-        u0, u1, u2 = mul[w0, s], mul[w1, s], mul[w2, s]
-        size = np.int64(self.field.size)
-        keys = (u0.astype(np.int64) * size + u1) * size + u2
+        s = fld.inv_np(lead)
+        u0, u1, u2 = mul(w0, s), mul(w1, s), mul(w2, s)
+        size = fld.size
+        keys = (u0 * size + u1) * size + u2
         pos = np.searchsorted(self._keys, keys)
         if (pos >= len(self._keys)).any() or \
                 not np.array_equal(self._keys[pos], keys):

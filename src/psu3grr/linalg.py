@@ -3,8 +3,8 @@
 Small dense systems only: the package never solves anything bigger than the
 27-equation, 9-unknown intertwiner systems.  Rows are lists of element
 indices and every operation goes through the field's index arithmetic
-(add_index, mul_index, neg_index, inv_index), so one routine serves the
-table tier and the log/Zech tier and no FieldElem is made while reducing.
+(add_index, mul_index, neg_index, inv_index), so no FieldElem is made
+while reducing.
 
 Rows are inserted one at a time into a fully reduced echelon basis, and
 insertion stops as soon as the rank equals the number of columns.  This

@@ -163,8 +163,8 @@ def _canonicalizer(field):
     scalars = [c.index for c in su3_center_scalars(field) if c != field.one]
     if not scalars:
         return lambda key: key
-    mul = field._mul
-    rows = [mul[c] for c in scalars]
+    mul = field.mul_index
+    rows = [[mul(c, i) for i in range(field.size)] for c in scalars]
     def canon(key):
         best = key
         for row in rows:
@@ -178,22 +178,11 @@ def _canonicalizer(field):
 
 
 def _mat_mul_flat(field):
-    mul = field._mul
-    add = field._add
+    mul, add = field.mul_index, field.add_index
     def mul9(m, n):
-        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-        n0, n1, n2, n3, n4, n5, n6, n7, n8 = n
-        return (
-            add[add[mul[m0][n0]][mul[m1][n3]]][mul[m2][n6]],
-            add[add[mul[m0][n1]][mul[m1][n4]]][mul[m2][n7]],
-            add[add[mul[m0][n2]][mul[m1][n5]]][mul[m2][n8]],
-            add[add[mul[m3][n0]][mul[m4][n3]]][mul[m5][n6]],
-            add[add[mul[m3][n1]][mul[m4][n4]]][mul[m5][n7]],
-            add[add[mul[m3][n2]][mul[m4][n5]]][mul[m5][n8]],
-            add[add[mul[m6][n0]][mul[m7][n3]]][mul[m8][n6]],
-            add[add[mul[m6][n1]][mul[m7][n4]]][mul[m8][n7]],
-            add[add[mul[m6][n2]][mul[m7][n5]]][mul[m8][n8]],
-        )
+        return tuple(add(add(mul(m[3 * i], n[j]), mul(m[3 * i + 1], n[3 + j])),
+                         mul(m[3 * i + 2], n[6 + j]))
+                     for i in range(3) for j in range(3))
     return mul9
 
 

@@ -73,23 +73,34 @@ def test_order_gate_for_large_degree():
     assert code == EXIT_STAGE_FAILED
     assert cert["verdict"] == "FAILED"
     assert "allow-large-order" in cert["detail"]
+    assert cert["failed_stage"] == "order"
 
 
-def test_order_stage_refuses_fields_without_tables(capsys):
-    # q = 49: GF(49^2) has 2401 elements, above TABLE_LIMIT; the refusal
-    # comes before the degree gate, so --allow-large-order does not help
-    code = main(["certify", "--p", "7", "--f", "2", "--allow-large-order"])
+def test_order_degree_gate_refuses_q49(capsys):
+    # q = 49 has permutation degree 117650; the refusal keeps the stages
+    # that passed and names the one that stopped
+    code = main(["certify", "--p", "7", "--f", "2"])
     assert code == EXIT_STAGE_FAILED
     cert = json.loads(capsys.readouterr().out)
     assert cert["verdict"] == "FAILED"
     assert cert["stages_run"] == ["search", "construct"]
     assert all(cert["stages"][s]["status"] == "pass" for s in cert["stages_run"])
-    assert "q <= 32" in cert["detail"] and "TABLE_LIMIT = 1100" in cert["detail"]
-    assert "GF(49^2) has 2401 elements" in cert["detail"]
+    assert "allow-large-order" in cert["detail"]
+    assert "permutation degree 117650" in cert["detail"]
+    assert cert["failed_stage"] == "order"
     assert cert["certificate_hash"] == certificate_hash(cert)
 
 
-# certificate_hash of `certify --stage irreducible`, fields above TABLE_LIMIT
+def test_graph_vertex_gate_names_the_stage():
+    cert, code = run_certify(RunConfig(7, 1, stages=("graph",)))
+    assert code == EXIT_STAGE_FAILED
+    assert cert["verdict"] == "FAILED"
+    assert cert["stages_run"] == ["search", "construct", "order"]
+    assert "exceeds the default gate" in cert["detail"]
+    assert cert["failed_stage"] == "graph"
+
+
+# certificate_hash of `certify --stage irreducible` at q >= 49
 BIG_FIELD_HASHES = {
     49: "b6bf3fa301df7e78b32df4d5421248ab4597e527b2c32d4195b246dbdc6488f9",
     64: "be014baea56bbeae776e81f354d0ad327b7835341f1baead362dc1730641063a",
@@ -199,7 +210,7 @@ def test_main_export_graph(tmp_path, capsys):
 
 @pytest.mark.parametrize("p,f,message", [
     (3, 3, "282056445216 vertices exceeds the default gate"),
-    (7, 2, "graph construction needs a table-backed field"),
+    (7, 2, "33219371640000 vertices exceeds the default gate"),
 ])
 def test_export_graph_refuses_before_the_chain(p, f, message, monkeypatch,
                                                tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from psu3grr.gf import (Field, FieldElem, _poly_mulmod, _poly_powmod, field,
@@ -207,30 +208,24 @@ class PolyReference:
                    if self.n % d == 0 and self.power(i, d) == one)
 
 
-LOG_METHODS = ("_add_index_log", "_mul_index_log", "_neg_index_log",
-               "_inv_index_log")
-
-
 def check_against_reference(F, pairs, elements):
-    """Both the bound tier and the log-domain methods against PolyReference."""
+    """The field's index arithmetic against PolyReference."""
     ref = PolyReference(F)
-    add, mul, neg, inv = (getattr(F, m) for m in LOG_METHODS)
     one = F.encode([1])
     for i, j in pairs:
-        s, m = ref.add(i, j), ref.mul(i, j)
-        assert F.add_index(i, j) == add(i, j) == s, (i, j)
-        assert F.mul_index(i, j) == mul(i, j) == m, (i, j)
+        assert F.add_index(i, j) == ref.add(i, j), (i, j)
+        assert F.mul_index(i, j) == ref.mul(i, j), (i, j)
     for i in range(F.size):
-        assert F.neg_index(i) == neg(i) == ref.neg(i)
-        assert add(i, neg(i)) == F.add_index(i, F.neg_index(i)) == 0
+        assert F.neg_index(i) == ref.neg(i)
+        assert F.add_index(i, F.neg_index(i)) == 0
         if i:
-            assert mul(i, inv(i)) == F.mul_index(i, F.inv_index(i)) == one
+            assert F.mul_index(i, F.inv_index(i)) == one
     for i in elements:
         for e in (0, 1, 2, 5, -1, -2, -7, F.size, -F.size):
             assert F.pow_index(i, e) == ref.power(i, e), (i, e)
         for e in (-1, 0, 1, F.f, 2 * F.f + 1):
             assert F.frob_index(i, e) == ref.power(i, F.p ** (e % F.ext_degree))
-        assert F.inv_index(i) == inv(i) == ref.power(i, -1)
+        assert F.inv_index(i) == ref.power(i, -1)
         assert F.order_index(i) == ref.order(i)
 
 
@@ -243,9 +238,8 @@ def test_log_tier_matches_polynomial_reference_exhaustively(p, f):
 
 @pytest.mark.parametrize("p,f", [(7, 2), (2, 6), (3, 4)])
 def test_log_tier_matches_polynomial_reference_sampled(p, f):
-    """Fields above TABLE_LIMIT, on a fixed-stride sample of 20 000 pairs."""
+    """Larger fields, on a fixed-stride sample of 20 000 pairs."""
     F = field(p, f)
-    assert not F.has_tables
     ref = PolyReference(F)
     pairs = [(0, 0), (0, 1), (1, 0)] + [
         ((7919 * k + 1) % F.size, (104729 * k + 3) % F.size)
@@ -268,22 +262,40 @@ def test_zech_table_has_one_empty_entry(p, f):
     assert F._exp[:n] == F._exp[n:]
 
 
-def test_log_domain_matches_size_squared_tables():
-    """Every pair of a table-backed field: log methods vs the size^2 lists."""
-    F = field(5, 2)
-    assert F.has_tables
-    add, mul, neg, inv = (getattr(F, m) for m in LOG_METHODS)
-    for i in range(F.size):
-        add_row, mul_row = F._add[i], F._mul[i]
-        assert [add(i, j) for j in range(F.size)] == add_row
-        assert [mul(i, j) for j in range(F.size)] == mul_row
-        assert neg(i) == F._neg[i]
-        if i:
-            assert inv(i) == F._inv[i]
-    # the numpy copies are the same tables
-    assert F.add_np.tolist() == F._add and F.mul_np.tolist() == F._mul
-    assert F.inv_np.tolist() == F._inv
-    assert F.powq_np.tolist() == [F.frob_index(i, F.f) for i in range(F.size)]
+def _kernel_pairs(F):
+    """Every pair (zeros included) of a small field, else a fixed-stride
+    sample of 200 000 pairs plus every pair with a zero and x + (-x)."""
+    size = F.size
+    idx = np.arange(size)
+    if size <= 100:
+        return np.repeat(idx, size), np.tile(idx, size)
+    k = np.arange(200000)
+    a = np.concatenate([(7919 * k + 1) % size, np.zeros(size, dtype=np.int64),
+                        idx, idx[1:]])
+    b = np.concatenate([(104729 * k + 3) % size, idx,
+                        np.zeros(size, dtype=np.int64),
+                        [F.neg_index(i) for i in range(1, size)]])
+    return a, b
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (3, 2), (7, 2), (2, 6)])
+def test_numpy_kernels_match_scalar_methods(p, f):
+    """add_np, mul_np, inv_np and powq_np against the scalar index methods."""
+    F = field(p, f)
+    a, b = _kernel_pairs(F)
+    assert F.add_np(a, b).tolist() == [
+        F.add_index(i, j) for i, j in zip(a.tolist(), b.tolist())]
+    assert F.mul_np(a, b).tolist() == [
+        F.mul_index(i, j) for i, j in zip(a.tolist(), b.tolist())]
+    idx = np.arange(F.size)
+    assert F.inv_np(idx).tolist() == [0] + [
+        F.inv_index(i) for i in range(1, F.size)]
+    assert F.powq_np(idx).tolist() == [
+        F.frob_index(i, F.f) for i in range(F.size)]
+    # scalar operands broadcast against arrays
+    x = int(idx[-1])
+    assert F.add_np(x, idx).tolist() == [F.add_index(x, i) for i in range(F.size)]
+    assert F.mul_np(idx, x).tolist() == [F.mul_index(i, x) for i in range(F.size)]
 
 
 def test_is_prime():

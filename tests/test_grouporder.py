@@ -77,6 +77,20 @@ def test_action_is_a_homomorphism():
     assert np.array_equal(px[px], act.identity)
 
 
+@pytest.mark.parametrize("p,f", [(37, 1), (7, 2)])
+def test_action_beyond_q32(p, f):
+    """The action at q = 37 and 49, fields of 1369 and 2401 elements."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    assert act.degree == F.q ** 3 + 1
+    t = build_triple(search_params(F))
+    for m in t.matrices:
+        perm = act.permutation(m)
+        assert np.array_equal(np.sort(perm), act.identity)
+        assert np.array_equal(perm[perm], act.identity)
+        assert not np.array_equal(perm, act.identity)
+
+
 def test_action_kernel_is_the_center():
     """Scalar center matrices act trivially; non-central words never do."""
     import random
@@ -196,7 +210,7 @@ def test_reducible_triples_are_detected():
 @pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (3, 2), (7, 2), (2, 6)])
 def test_eigenvalues_match_fieldelem_scan(p, f):
     """Index-arithmetic roots equal a FieldElem evaluation at every element,
-    on the table tier (q <= 32) and the log tier (q = 49, 64)."""
+    for q from 4 to 64."""
     F = field(p, f)
     t = build_triple(search_params(F))
     rng = np.random.default_rng(p * 100 + f)

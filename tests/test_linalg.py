@@ -160,13 +160,10 @@ def test_intertwiner_systems_match_reference(p, f, count):
     assert seen == count
 
 
-# GF(5^2) and GF(2^4) use the size^2 tables, GF(7^4) the log/Zech tier
-@pytest.mark.parametrize("p,f,tables", [(5, 1, True), (2, 2, True),
-                                        (7, 2, False)])
-def test_rank_deficient_systems_match_reference(p, f, tables):
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (7, 2)])
+def test_rank_deficient_systems_match_reference(p, f):
     """Random products (n x k)(k x ncols) have rank at most k < ncols."""
     F = field(p, f)
-    assert F.has_tables == tables
     rng = random.Random(4099 + F.size)
     elems = list(F.elements())
     for trial in range(40):
