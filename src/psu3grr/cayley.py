@@ -20,7 +20,7 @@ The closure runs one BFS level at a time on numpy index arrays:
   larger q before any work.
 * A child is looked up only among the keys of the previous and the
   current level.  This finds every known vertex: X, Y and Z are
-  involutions (checked by `_validate_connection_set`), so g = s(sg) and
+  involutions (checked by `construct.check_connection_set`), so g = s(sg) and
   the graph is undirected; hence BFS distances of neighbours differ by at
   most one, and every neighbour of a vertex of level L lies in level
   L - 1, L or L + 1.  The children not found there form level L + 1.
@@ -49,19 +49,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .construct import GeneratorTriple
+from .construct import (ConnectionSetError, GeneratorTriple,
+                        check_connection_set)
 from .gf import Field
-from .mat3 import Mat3, matrix_order, projectively_equal, su3_center_scalars
+from .mat3 import Mat3, su3_center_scalars
 
 DEFAULT_MAX_VERTICES = 126000
 # Largest q whose coset keys fit in an int64: |GF(q^2)|^9 = q^18 < 2^63.
 MAX_KEY_Q = 11
 # Numbers per chunk when an export is formatted or hashed.
 EXPORT_CHUNK = 1 << 16
-
-
-class ConnectionSetError(ValueError):
-    """The projected triple is not a valid cubic connection set."""
 
 
 class GraphSizeError(RuntimeError):
@@ -115,10 +112,6 @@ def _left_mul(field: Field, s, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _key_index(labels: np.ndarray) -> dict:
-    return {tuple(k): i for i, k in enumerate(labels.tolist())}
-
-
 @dataclass
 class CayleyGraph:
     vertex_count: int
@@ -129,29 +122,16 @@ class CayleyGraph:
     @cached_property
     def key_index(self) -> dict:
         """Canonical coset key (flat index tuple) -> vertex index."""
-        return _key_index(self.labels)
-
-    @cached_property
-    def _keys(self) -> _CosetKeys:
-        return _CosetKeys(self.field)
+        return {tuple(k): i for i, k in enumerate(self.labels.tolist())}
 
     def mul_index(self, i: int, j: int) -> int:
         """Index of the product of vertices i and j (group multiplication)."""
-        prod = _left_mul(self.field, self.labels[i], self.labels[j][:, None])
-        key = self._keys.unpack(self._keys(prod))[0]
-        return self.key_index[tuple(key.tolist())]
-
-
-def _validate_connection_set(t: GeneratorTriple):
-    for name, m in zip("XYZ", t.matrices):
-        if m.is_scalar():
-            raise ConnectionSetError(f"{name} projects to the identity")
-        if matrix_order(m) != 2:
-            raise ConnectionSetError(f"{name} is not an involution")
-    pairs = (("X", 0, "Y", 1), ("X", 0, "Z", 2), ("Y", 1, "Z", 2))
-    for n1, i, n2, j in pairs:
-        if projectively_equal(t.matrices[i], t.matrices[j]):
-            raise ConnectionSetError(f"{n1} and {n2} coincide projectively")
+        a, b = (Mat3.from_flat_indices(self.field, self.labels[k].tolist())
+                for k in (i, j))
+        prod = a * b
+        # the coset key is the least flat index tuple over center multiples
+        return self.key_index[min(prod.scalar_mul(c).flat_indices
+                                  for c in su3_center_scalars(self.field))]
 
 
 def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
@@ -171,7 +151,7 @@ def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
     """(labels, edges) of the level-synchronous closure; see the module doc."""
     field = t.field
     check_graph_gate(field, expected_order, allow_large)
-    _validate_connection_set(t)
+    check_connection_set(t.matrices)
     coset_key = _CosetKeys(field)
     gens = [m.flat_indices for m in t.matrices]
     ident = Mat3.identity(field).flat_indices
@@ -223,13 +203,6 @@ def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
     packed = packed[np.append(True, packed[1:] != packed[:-1])]
     edges = np.stack([packed >> 32, packed & 0xFFFFFFFF], axis=1)
     return labels, edges
-
-
-def enumerate_group(t: GeneratorTriple, expected_order: int,
-                    allow_large: bool = False) -> dict:
-    """Canonical-key -> index bijection for PSU3(q); identity is index 0."""
-    labels, _ = _bfs(t, expected_order, allow_large)
-    return _key_index(labels)
 
 
 def build_graph(t: GeneratorTriple, expected_order: int,

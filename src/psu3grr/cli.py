@@ -1,4 +1,14 @@
-"""Command-line driver: run the pipeline stages and emit JSON certificates.
+"""Command-line driver: orchestrate the pipeline stages and emit JSON.
+
+Every subcommand but negative-control-q3 (see negcontrol) runs the same
+stage runner, `_stage_<name>(state, cfg)` for each stage in dependency
+order, and shares its exit codes:
+
+    search-params  stage search                  prints its fragment
+    construct      stage construct (and search)  prints both fragments
+    certify        the --stage list (default: every verdict stage)
+    export-graph   stage graph (and search, construct, order); writes the
+                   graph the stage built
 
 Stages and their dependencies:
 
@@ -35,14 +45,15 @@ from . import __version__
 from .autcheck import aut_group_trivial
 from .cayley import (build_graph, check_graph_gate, edge_list_sha256,
                      export_chunks)
-from .construct import (ConstructionError, NoValidParams, UnsupportedQ,
-                        build_triple, count_valid_b, search_params)
+from .construct import (UnsupportedQ, build_triple, count_valid_b,
+                        search_params)
 from .gf import field
 from .grouporder import (IsotropicAction, OrderBoundExceeded,
                          commutant_dimension, dihedral_image_order,
                          expected_group_order, group_order,
                          invariant_subspace_test)
 from .mat3 import matrix_order, projective_order
+from .negcontrol import run_negative_control_q3
 
 EXIT_OK = 0
 EXIT_REFUSED = 2
@@ -123,7 +134,7 @@ def certificate_hash(cert: dict) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-def _stage_search(state) -> dict:
+def _stage_search(state, cfg: RunConfig) -> dict:
     cp = search_params(state["field"])
     state["params"] = cp
     return {
@@ -137,7 +148,7 @@ def _stage_search(state) -> dict:
     }
 
 
-def _stage_construct(state) -> dict:
+def _stage_construct(state, cfg: RunConfig) -> dict:
     cp = state["params"]
     t = build_triple(cp)
     state["triple"] = t
@@ -209,7 +220,7 @@ def _stage_order(state, cfg: RunConfig) -> dict:
     return out
 
 
-def _stage_irreducible(state) -> dict:
+def _stage_irreducible(state, cfg: RunConfig) -> dict:
     t = state["triple"]
     no_invariant = invariant_subspace_test(t)
     comm = commutant_dimension(t)
@@ -223,7 +234,7 @@ def _stage_irreducible(state) -> dict:
     return out
 
 
-def _stage_aut(state) -> dict:
+def _stage_aut(state, cfg: RunConfig) -> dict:
     t = state["triple"]
     cert = aut_group_trivial(t, state["order_cert"])
     out = {
@@ -272,8 +283,12 @@ def _stage_graph(state, cfg: RunConfig) -> dict:
     }
 
 
-def run_certify(cfg: RunConfig) -> tuple[dict, int]:
-    """Run the requested stages; returns (certificate dict, exit code)."""
+def _run(cfg: RunConfig) -> tuple[dict, int, dict]:
+    """Run the requested stages; returns (certificate, exit code, state).
+
+    Stage `name` is the module function `_stage_<name>(state, cfg)`, looked
+    up by name when it runs, so a rebound stage function is the one called.
+    """
     cert: dict = {
         "tool": "psu3grr",
         "version": __version__,
@@ -285,27 +300,16 @@ def run_certify(cfg: RunConfig) -> tuple[dict, int]:
         "stages": {},
         "stages_run": [],
     }
+    state: dict = {}
     exit_code = EXIT_OK
     try:
         fld = field(cfg.p, cfg.f)
         cert["q"] = fld.q
         cert["field"] = fld.params_str()
-        state = {"field": fld}
-        stages = _close_stages(cfg.stages)
-        for stage in stages:
+        state["field"] = fld
+        for stage in _close_stages(cfg.stages):
             try:
-                if stage == "search":
-                    frag = _stage_search(state)
-                elif stage == "construct":
-                    frag = _stage_construct(state)
-                elif stage == "order":
-                    frag = _stage_order(state, cfg)
-                elif stage == "irreducible":
-                    frag = _stage_irreducible(state)
-                elif stage == "aut":
-                    frag = _stage_aut(state)
-                else:
-                    frag = _stage_graph(state, cfg)
+                frag = globals()[f"_stage_{stage}"](state, cfg)
             except RuntimeError as exc:  # every FAILED or exit-4 cause
                 fragment = getattr(exc, "fragment", None)
                 if fragment is not None:
@@ -329,131 +333,18 @@ def run_certify(cfg: RunConfig) -> tuple[dict, int]:
         cert["verdict"] = "INTERNAL_INCONSISTENCY"
         cert["detail"] = str(exc)
         exit_code = EXIT_INCONSISTENT
-    except (NoValidParams, ConstructionError, RuntimeError) as exc:
+    except RuntimeError as exc:
         cert["verdict"] = "FAILED"
         cert["detail"] = str(exc)
         exit_code = EXIT_STAGE_FAILED
     cert["certificate_hash"] = certificate_hash(cert)
-    return cert, exit_code
+    return cert, exit_code, state
 
 
-# ---------------------------------------------------------------------------
-# negative control: PSU3(3) has no generating involution triple
-# ---------------------------------------------------------------------------
-
-def run_negative_control_q3() -> dict:
-    """Certify that no triple of involutions generates PSU3(3).
-
-    PSU3(3) = SU3(3) (trivial center) is realised as permutations of its 28
-    isotropic points; the group is enumerated from its unitriangular
-    subgroups, involutions are classified up to conjugacy, and every triple
-    (x0, y, z) with x0 a class representative is closed under multiplication
-    to get the exact subgroup order.  Fixing x0 per class is harmless:
-    conjugating a triple conjugates the subgroup it generates.
-    """
-    fld = field(3, 1)
-    action = IsotropicAction(fld)
-    degree = action.degree
-    expected = expected_group_order(3)
-
-    # unitriangular subgroups (upper and lower) generate SU3(3)
-    from .mat3 import Mat3, is_special_unitary
-    one, zero = fld.one, fld.zero
-    gens = []
-    for s in fld.elements():
-        for t in fld.elements():
-            upper = Mat3(fld, (one, s, t, zero, one, -(s.frobenius(fld.f)),
-                               zero, zero, one))
-            if is_special_unitary(upper):
-                gens.append(upper)
-                gens.append(upper.transpose())
-    perm_gens = [tuple(int(x) for x in action.permutation(m)) for m in gens]
-    identity = tuple(range(degree))
-
-    def compose(a, b):
-        return tuple(b[x] for x in a)
-
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        g = frontier.pop()
-        for s in perm_gens:
-            h = compose(g, s)
-            if h not in elements:
-                elements.add(h)
-                frontier.append(h)
-    if len(elements) != expected:
-        raise RuntimeError(
-            f"enumeration of PSU3(3) found {len(elements)} elements, "
-            f"expected {expected}")
-
-    involutions = sorted(g for g in elements
-                         if g != identity and compose(g, g) == identity)
-
-    def invert(g):
-        out = [0] * degree
-        for i, x in enumerate(g):
-            out[x] = i
-        return tuple(out)
-
-    inv_gens = [invert(g) for g in perm_gens]
-    unclassified = set(involutions)
-    class_reps = []
-    class_sizes = []
-    while unclassified:
-        rep = min(unclassified)
-        orbit = {rep}
-        frontier = [rep]
-        while frontier:
-            t = frontier.pop()
-            for g, gi in zip(perm_gens, inv_gens):
-                c = compose(compose(gi, t), g)
-                if c not in orbit:
-                    orbit.add(c)
-                    frontier.append(c)
-        class_reps.append(rep)
-        class_sizes.append(len(orbit))
-        unclassified -= orbit
-
-    max_proper = 0
-    generating = 0
-    triples = 0
-    for rep in class_reps:
-        for yi in range(len(involutions)):
-            y = involutions[yi]
-            for zi in range(yi, len(involutions)):
-                z = involutions[zi]
-                triples += 1
-                sub = {identity, rep, y, z}
-                frontier = list(sub)
-                size_ok = True
-                while frontier:
-                    g = frontier.pop()
-                    for s in (rep, y, z):
-                        h = compose(g, s)
-                        if h not in sub:
-                            sub.add(h)
-                            frontier.append(h)
-                order = len(sub)
-                if order == expected:
-                    generating += 1
-                elif order > max_proper:
-                    max_proper = order
-    return {
-        "tool": "psu3grr",
-        "version": __version__,
-        "schema": "psu3grr-negative-control-q3/1",
-        "group_order": expected,
-        "degree": degree,
-        "involution_count": len(involutions),
-        "involution_class_count": len(class_reps),
-        "involution_class_sizes": class_sizes,
-        "triples_tested": triples,
-        "generating_triples_found": generating,
-        "max_proper_subgroup_order": max_proper,
-        "verdict": ("NO_GENERATING_INVOLUTION_TRIPLE" if generating == 0
-                    else "GENERATING_TRIPLE_FOUND"),
-    }
+def run_certify(cfg: RunConfig) -> tuple[dict, int]:
+    """Run the requested stages; returns (certificate dict, exit code)."""
+    cert, code, _ = _run(cfg)
+    return cert, code
 
 
 # ---------------------------------------------------------------------------
@@ -518,40 +409,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _export_graph(args) -> int:
+    fld = field(args.p, args.f)
+    # refuse an oversized graph before the stages build a chain
+    check_graph_gate(fld, expected_group_order(fld.q), args.allow_large_graph)
+    cert, code, state = _run(RunConfig(
+        args.p, args.f, stages=("graph",),
+        allow_large_graph=args.allow_large_graph))
+    if code != EXIT_OK:
+        sys.stderr.write(f"{cert['verdict']}: {cert['detail']}\n")
+        return code
+    with open(args.out, "wb") as fh:
+        fh.writelines(export_chunks(state["graph"], args.format))
+    sys.stdout.write(stable_json({"written": args.out, "format": args.format,
+                                  **cert["stages"]["graph"]}))
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "search-params":
-            fld = field(args.p, args.f)
-            cp = search_params(fld)
-            _emit({
-                "p": args.p, "f": args.f, "q": fld.q,
-                "field": fld.params_str(),
-                "parity": cp.parity,
-                "b": cp.b.to_str(),
-                "a": cp.a.to_str(),
-                "exponent_set": list(cp.exponent_set),
-                "census": cp.a_census,
-                "b_census": count_valid_b(fld, cp.parity),
-            }, args.out)
+        if args.command == "negative-control-q3":
+            _emit(run_negative_control_q3(), args.out)
             return EXIT_OK
-
-        if args.command == "construct":
-            fld = field(args.p, args.f)
-            cp = search_params(fld)
-            t = build_triple(cp)
-            _emit({
-                "p": args.p, "f": args.f, "q": fld.q,
-                "field": fld.params_str(),
-                "parity": cp.parity,
-                "b": cp.b.to_str(),
-                "a": cp.a.to_str(),
-                "X": t.X.to_str(),
-                "Y": t.Y.to_str(),
-                "Z": t.Z.to_str(),
-            }, args.out)
-            return EXIT_OK
-
+        if args.command == "export-graph":
+            return _export_graph(args)
         if args.command == "certify":
             if args.jobs < 1:
                 raise ValueError("--jobs must be at least 1")
@@ -562,40 +444,21 @@ def main(argv=None) -> int:
             cert, code = run_certify(cfg)
             _emit(cert, args.out)
             return code
-
-        if args.command == "export-graph":
-            fld = field(args.p, args.f)
-            expected = expected_group_order(fld.q)
-            check_graph_gate(fld, expected, args.allow_large_graph)
-            cp = search_params(fld)
-            t = build_triple(cp)
-            cert = group_order(t)
-            if cert.order != expected:
-                sys.stderr.write("generation certificate failed\n")
-                return EXIT_STAGE_FAILED
-            g = build_graph(t, expected, allow_large=args.allow_large_graph)
-            with open(args.out, "wb") as fh:
-                fh.writelines(export_chunks(g, args.format))
-            sys.stdout.write(stable_json({
-                "written": args.out,
-                "format": args.format,
-                "vertices": g.vertex_count,
-                "edges": len(g.edges),
-                "edge_list_sha256": edge_list_sha256(g),
-            }))
-            return EXIT_OK
-
-        if args.command == "negative-control-q3":
-            _emit(run_negative_control_q3(), args.out)
-            return EXIT_OK
-    except UnsupportedQ as exc:
-        _emit({"verdict": "REFUSED", "reason": "UnsupportedQ",
-               "detail": str(exc)}, getattr(args, "out", None))
-        return EXIT_REFUSED
-    except (NoValidParams, ConstructionError, RuntimeError, ValueError) as exc:
+        # search-params and construct print the header and their stages'
+        # fragments flat; a failure prints the certificate instead
+        stage = "search" if args.command == "search-params" else "construct"
+        cert, code = run_certify(RunConfig(args.p, args.f, stages=(stage,)))
+        if code != EXIT_OK:
+            _emit(cert, args.out)
+            return code
+        doc = {k: cert[k] for k in ("p", "f", "q", "field")}
+        for frag in cert["stages"].values():
+            doc.update(frag)
+        _emit(doc, args.out)
+        return EXIT_OK
+    except (RuntimeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_STAGE_FAILED
-    raise AssertionError("unhandled command")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ records how many valid a exist for the chosen b (the census).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .gf import Field, FieldElem
@@ -36,6 +37,10 @@ class NoValidParams(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """A built triple failed one of its integrity checks."""
+
+
+class ConnectionSetError(ConstructionError):
+    """The projected triple is not a valid cubic connection set."""
 
 
 ODD_CONDITIONS = ("yz-xy", "yz-xz", "xy-xz")
@@ -257,26 +262,38 @@ def _even_matrices(field: Field, a: FieldElem, b: FieldElem):
     return x, y, z
 
 
+def check_connection_set(matrices) -> None:
+    """Raise ConnectionSetError unless X, Y, Z project to three distinct
+    involutions of PSU3(q).
+
+    Each must be non-scalar with square I (for a non-scalar matrix that is
+    order 2), and no two may be equal up to a center scalar.
+    """
+    named = tuple(zip("XYZ", matrices))
+    ident = Mat3.identity(matrices[0].field)
+    for name, m in named:
+        if m.is_scalar():
+            raise ConnectionSetError(f"{name} projects to the identity")
+        if m * m != ident:
+            raise ConnectionSetError(f"{name} is not an involution")
+    for (n1, m1), (n2, m2) in combinations(named, 2):
+        if projectively_equal(m1, m2):
+            raise ConnectionSetError(f"{n1} and {n2} coincide projectively")
+
+
 def build_triple(cp: ConstructionParams) -> GeneratorTriple:
     """Materialize (X, Y, Z) and certify the basic integrity facts:
 
-    membership in SU3(q), X^2 = Y^2 = Z^2 = I, and pairwise projective
-    distinctness (so the projected connection set has three involutions).
+    membership in SU3(q), and that the projected connection set has three
+    distinct involutions (`check_connection_set`).
     """
     field = cp.field
     if cp.parity == "odd":
         x, y, z = _odd_matrices(field, cp.a, cp.b)
     else:
         x, y, z = _even_matrices(field, cp.a, cp.b)
-    ident = Mat3.identity(field)
     for name, m in (("X", x), ("Y", y), ("Z", z)):
         if not is_special_unitary(m):
             raise ConstructionError(f"{name} is not in SU3({field.q})")
-        if m * m != ident:
-            raise ConstructionError(f"{name}^2 != I")
-        if m.is_scalar():
-            raise ConstructionError(f"{name} projects to the identity")
-    for n1, m1, n2, m2 in (("X", x, "Y", y), ("X", x, "Z", z), ("Y", y, "Z", z)):
-        if projectively_equal(m1, m2):
-            raise ConstructionError(f"{n1} and {n2} coincide projectively")
+    check_connection_set((x, y, z))
     return GeneratorTriple(cp, x, y, z)

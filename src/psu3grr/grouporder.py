@@ -271,14 +271,12 @@ class StabilizerChain:
     CACHE_CAP_LARGE = 2048
 
     def __init__(self, degree: int, dtype=np.int32,
-                 cache_transversals: bool | None = None,
                  order_bound: int | None = None):
         self.degree = degree
         self.order_bound = order_bound
         self.identity = np.arange(degree, dtype=dtype)
-        if cache_transversals is None:
-            cache_transversals = degree <= self.CACHE_DEGREE_LIMIT
-        self.cache_cap = degree + 1 if cache_transversals else self.CACHE_CAP_LARGE
+        self.cache_cap = (degree + 1 if degree <= self.CACHE_DEGREE_LIMIT
+                          else self.CACHE_CAP_LARGE)
         self.levels: list[_Level] = []
 
     def add_generator(self, perm: np.ndarray):

@@ -7,7 +7,7 @@ import pytest
 
 from psu3grr.cayley import (MAX_KEY_Q, CayleyGraph, ConnectionSetError,
                             GraphSizeError, build_graph, check_graph_gate,
-                            edge_list_sha256, enumerate_group, export_graph,
+                            edge_list_sha256, export_graph,
                             import_edge_list)
 from psu3grr.construct import GeneratorTriple, build_triple, search_params
 from psu3grr.gf import field
@@ -49,7 +49,7 @@ def test_unsupported_format():
 def test_enumerate_group_identity_is_index_zero():
     F = field(2, 2)
     t = build_triple(search_params(F))
-    index = enumerate_group(t, expected_group_order(F.q))
+    index = build_graph(t, expected_group_order(F.q)).key_index
     assert len(index) == 62400
     ident_key = Mat3.identity(F).flat_indices
     assert index[ident_key] == 0

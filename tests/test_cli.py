@@ -289,3 +289,57 @@ def test_negative_control_report_shape():
     assert rep["generating_triples_found"] == 0
     assert 0 < rep["max_proper_subgroup_order"] < 6048
     assert rep["verdict"] == "NO_GENERATING_INVOLUTION_TRIPLE"
+
+
+def test_export_graph_past_the_bound_is_an_internal_inconsistency(
+        monkeypatch, tmp_path, capsys):
+    """export-graph runs the order stage of certify, so a generation chain
+    past |PSU3(q)| is exit 4 there too, and no graph is written."""
+    from psu3grr import grouporder
+    monkeypatch.setattr(grouporder, "expected_group_order", lambda q: 1000)
+    out = tmp_path / "q4.edges"
+    code = main(["export-graph", "--p", "2", "--f", "2", "--out", str(out)])
+    assert code == cli.EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert "INTERNAL_INCONSISTENCY" in err
+    assert "exceeds the proven bound 1000" in err
+    assert not out.exists()
+
+
+def test_construct_runs_the_construct_checks(monkeypatch, capsys):
+    """construct runs certify's construct stage: a wrong rotation or
+    involution order fails it with certify's certificate and exit code."""
+    monkeypatch.setattr(cli, "projective_order", lambda m: 7)
+    code = main(["construct", "--p", "5", "--f", "1"])
+    assert code == EXIT_STAGE_FAILED
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == "FAILED"
+    assert cert["failed_stage"] == "construct"
+    assert cert["stages"]["construct"]["status"] == "fail"
+    assert cert["certificate_hash"] == certificate_hash(cert)
+
+
+# sha256 of the bytes `export-graph` writes, per (q, format)
+EXPORT_HASHES = {
+    (4, "edge-list"):
+        "2ef87656d34ded88efbfc13768c57d075a538c0883b9e6993cdb8510a9454da1",
+    (4, "adjacency"):
+        "a0497a6440fe5e869926783749cc9e036ef5e40e0db9fa36bd21df8f4e0bd693",
+    (5, "edge-list"):
+        "aafccf2f8fb910cdb7482f34b1c2aa3351e0f8ca230b3a290625917a34cb74a8",
+    (5, "adjacency"):
+        "4d69edfc98f5593e0970acfc98c0442e0e93c27e503ba4afb8c0291b7a487bf3",
+}
+
+
+@pytest.mark.parametrize("p,f,fmt", [(2, 2, "edge-list"), (2, 2, "adjacency"),
+                                     (5, 1, "edge-list"), (5, 1, "adjacency")])
+def test_export_graph_bytes_are_pinned(p, f, fmt, tmp_path, capsys):
+    out = tmp_path / "graph.txt"
+    code = main(["export-graph", "--p", str(p), "--f", str(f),
+                 "--format", fmt, "--out", str(out)])
+    assert code == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["written"], doc["format"]) == (str(out), fmt)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        EXPORT_HASHES[p ** f, fmt]

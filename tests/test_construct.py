@@ -2,9 +2,11 @@
 
 import pytest
 
-from psu3grr.construct import (ConstructionParams, UnsupportedQ, b_is_valid,
+from psu3grr.construct import (ConnectionSetError, ConstructionError,
+                               ConstructionParams, UnsupportedQ, b_is_valid,
                                build_triple, charpoly_coeffs,
                                check_conditions_even, check_conditions_odd,
+                               check_connection_set,
                                condition_holds, count_valid_b,
                                elements_of_order, exponent_set, find_b,
                                require_supported, search_params)
@@ -144,6 +146,20 @@ def test_build_triple_integrity(p, f):
     for m in t.matrices:
         assert is_special_unitary(m)
         assert m * m == I
+
+
+def test_connection_set_check_names_the_violation():
+    """A bad connection set is a ConstructionError, which certify reports
+    as a stage failure."""
+    F = field(5, 1)
+    t = build_triple(search_params(F))
+    assert issubclass(ConnectionSetError, ConstructionError)
+    check_connection_set(t.matrices)
+    for bad, message in [((t.X, t.Y, Mat3.identity(F)), "Z projects to"),
+                         ((t.X, t.Y, t.Y * t.Z), "Z is not an involution"),
+                         ((t.X, t.Y, t.X), "X and Z coincide")]:
+        with pytest.raises(ConnectionSetError, match=message):
+            check_connection_set(bad)
 
 
 def test_charpoly_coeff_values_against_displayed_products():
