@@ -72,9 +72,9 @@ VERDICT_STAGES = ("search", "construct", "order", "irreducible", "aut")
 STAGE_RUN_ORDER = ("search", "construct", "order", "irreducible", "aut", "graph")
 
 # order certification above this permutation degree needs an explicit flag;
-# every q <= 25 (degree <= 15 626) certifies in about 2 s, q = 27 (degree
-# 19 684) takes tens of seconds
-ORDER_DEGREE_GATE = 16000
+# every q <= 37 (degree <= 50 654) certifies in about a second or two, and
+# the next supported q, 41 (degree 68 922), is the first one refused
+ORDER_DEGREE_GATE = 60000
 
 
 class InternalInconsistency(RuntimeError):

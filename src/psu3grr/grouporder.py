@@ -7,13 +7,25 @@ projected triple generates), and a deterministic Schreier-Sims stabilizer
 chain gives the exact order of that image.  Comparing against
 |PSU3(q)| = q^3 (q^3+1) (q^2-1) / gcd(3, q+1) settles generation.
 
+The chain works on matrix elements (Murray and O'Brien, "Selecting base
+points for the Schreier-Sims algorithm for matrix groups", J. Symb.
+Comput. 1995; Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, Sect. 4.4).  Schreier generators, transversals and residues
+are 3x3 matrices, nine field indices each, so a product costs 27 field
+multiplications whatever the degree, and a base image is one
+vector-times-matrix product and a key lookup.  Only the strong generators
+are also held as permutations of the points, to grow the basic orbits.
+The chain replays the Schreier-Sims chain of the permutation image step
+for step, so its base, orbit lengths and order are those of the image
+(see StabilizerChain for why).
+
 The chain stops early once its order reaches |PSU3(q)| (see
 StabilizerChain for why the result is then the same as a full run).
 group_order uses |PSU3(q)| as that bound only after checking itself that
-X, Y and Z are in SU3(q) for the form of the action, so that the image is
-known to lie in PSU3(q); a triple that fails the check gets no bound.  A
-triple that generates a proper subgroup never reaches the bound, so its
-chain runs to the end and the subgroup order it reports is exact.
+X, Y and Z are in SU3(q), so that the image is known to lie in PSU3(q); a
+triple that fails the check gets no bound.  A triple that generates a
+proper subgroup never reaches the bound, so its chain runs to the end and
+the subgroup order it reports is exact.
 
 Irreducibility is certified two independent ways: an invariant-line search
 via eigenspace intersections (covering invariant planes through transposes)
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, product, repeat
 from math import gcd
 
 import numpy as np
@@ -32,8 +45,10 @@ import numpy as np
 from .construct import GeneratorTriple
 from .gf import Field, FieldElem
 from .linalg import nullspace
-from .mat3 import (HermitianForm, Mat3, is_special_unitary,
-                   standard_hermitian_form)
+from .mat3 import Mat3, adjugate_np, is_special_unitary, matmul_np
+
+# Schreier pairs that _drain sifts together against one chain
+SIFT_BATCH = 512
 
 
 class DegenerateActionError(RuntimeError):
@@ -52,14 +67,14 @@ def expected_group_order(q: int) -> int:
 # Isotropic points and the permutation action on them
 # ---------------------------------------------------------------------------
 
-def isotropic_points(field: Field, form: HermitianForm | None = None):
+def isotropic_points(field: Field):
     """All projective points [v] with conj(v)^T . W . v = 0.
 
-    Representatives are normalized (first nonzero coordinate = 1) and the
-    list is sorted by representative in field enumeration order.  The count
-    is always q^3 + 1.
+    W is standard_hermitian_form.  Representatives are normalized (first
+    nonzero coordinate = 1) and the list is sorted by representative in
+    field enumeration order.  The count is always q^3 + 1.
     """
-    action = IsotropicAction(field, form)
+    action = IsotropicAction(field)
     return [tuple(FieldElem(field, int(i)) for i in row)
             for row in action.point_matrix]
 
@@ -69,174 +84,173 @@ class IsotropicAction:
 
     Points are row vectors v acted on by v -> v * M, then renormalised.
     Coordinates are field index arrays, combined with the field's numpy
-    kernels (add_np, mul_np, inv_np, powq_np), so any field works.
+    kernels (add_np, mul_np, inv_np, powq_np), so any field works.  The
+    form is always standard_hermitian_form.
     """
 
-    def __init__(self, field: Field, form: HermitianForm | None = None):
+    def __init__(self, field: Field):
         self.field = field
-        self.form = form or standard_hermitian_form(field)
         self.point_matrix = self._enumerate_points()
         self.degree = len(self.point_matrix)
         if self.degree != field.q ** 3 + 1:
             raise AssertionError(
                 f"isotropic point count {self.degree} != q^3+1")
-        size = field.size
-        self._keys = (self.point_matrix[:, 0].astype(np.int64) * size
-                      + self.point_matrix[:, 1]) * size + self.point_matrix[:, 2]
+        self._keys = self._key(self.point_matrix)
         self._dtype = np.int16 if self.degree <= 30000 else np.int32
         self.identity = np.arange(self.degree, dtype=self._dtype)
 
-    def _form_values(self, v0, v1, v2):
-        """conj(v)^T W v for vectors given as coordinate index arrays."""
-        fld = self.field
-        add, mul = fld.add_np, fld.mul_np
-        w = self.form.matrix.flat_indices
-        coords = (v0, v1, v2)
-        acc = np.zeros_like(v0)
-        for i in range(3):
-            ci = fld.powq_np(coords[i])
-            for j in range(3):
-                wij = w[3 * i + j]
-                if wij:
-                    acc = add(acc, mul(mul(ci, wij), coords[j]))
-        return acc
-
     def _enumerate_points(self):
-        fld = self.field
-        size = fld.size
-        one = fld.one.index
-        rows = []
-        # [0, 0, 1]
-        z = np.zeros(1, dtype=np.int32)
-        if self._form_values(z, z, z + one)[0] == 0:
-            rows.append(np.array([[0, 0, one]], dtype=np.int32))
-        # [0, 1, x]
-        x = np.arange(size, dtype=np.int32)
-        zeros = np.zeros(size, dtype=np.int32)
-        ones = np.full(size, one, dtype=np.int32)
-        mask = self._form_values(zeros, ones, x) == 0
-        if mask.any():
-            sel = x[mask]
-            rows.append(np.stack([np.zeros_like(sel), np.full_like(sel, one), sel], axis=1))
-        # [1, x, y]
-        xx = np.repeat(x, size)
-        yy = np.tile(x, size)
-        ones2 = np.full(size * size, one, dtype=np.int32)
-        mask = self._form_values(ones2, xx, yy) == 0
-        sel_x, sel_y = xx[mask], yy[mask]
-        rows.append(np.stack([np.full_like(sel_x, one), sel_x, sel_y], axis=1))
-        pts = np.concatenate(rows, axis=0)
-        size64 = np.int64(size)
-        keys = (pts[:, 0].astype(np.int64) * size64 + pts[:, 1]) * size64 + pts[:, 2]
-        return pts[np.argsort(keys, kind="stable")]
+        """[0, 0, 1], then every [1, x, y] with y + y^q = -x^(q+1), sorted.
 
-    def permutation(self, mat: Mat3) -> np.ndarray:
-        """Permutation array of the point indices under v -> v * M."""
+        Under the anti-diagonal form, conj(v)^T W v is
+        v0^q v2 + v1^(q+1) + v2^q v0: 0 at [0, 0, 1], 1 at every [0, 1, x],
+        and x^(q+1) + y + y^q at [1, x, y].  The trace y -> y + y^q maps
+        GF(q^2) onto GF(q) with q elements in each fibre, so each x has
+        exactly q solutions y, the fibre over -x^(q+1).  Sorting y by trace
+        once reads them all off in O(q^3).  The rows come out in key order:
+        x ascends, and the stable sort keeps each fibre in index order.
+        """
         fld = self.field
-        add, mul = fld.add_np, fld.mul_np
-        m = mat.flat_indices
-        p0 = self.point_matrix[:, 0]
-        p1 = self.point_matrix[:, 1]
-        p2 = self.point_matrix[:, 2]
-        w0, w1, w2 = (add(add(mul(p0, m[j]), mul(p1, m[3 + j])),
-                          mul(p2, m[6 + j])) for j in range(3))
-        lead = np.where(w0 != 0, w0, np.where(w1 != 0, w1, w2))
+        q, one = fld.q, fld.one.index
+        x = np.arange(fld.size, dtype=np.int64)
+        conj = fld.powq_np(x)
+        trace = fld.add_np(x, conj)
+        by_trace = np.argsort(trace, kind="stable")
+        minus_norm = fld.mul_np(fld.mul_np(x, conj),
+                                fld.neg_index(one))
+        first = np.searchsorted(trace[by_trace], minus_norm)
+        pts = np.empty((fld.size * q + 1, 3), dtype=np.int64)
+        pts[0] = (0, 0, one)
+        pts[1:, 0] = one
+        pts[1:, 1] = np.repeat(x, q)
+        pts[1:, 2] = by_trace[first[:, None] + np.arange(q)].ravel()
+        return pts
+
+    def _key(self, pts):
+        size = self.field.size
+        return (pts[..., 0] * size + pts[..., 1]) * size + pts[..., 2]
+
+    def _locate(self, w):
+        """Point indices of the projective points [w] for rows w (N, 3).
+
+        Each row is scaled to a leading 1 and looked up by its key.
+        """
+        fld = self.field
+        lead = np.where(w[:, 0] != 0, w[:, 0],
+                        np.where(w[:, 1] != 0, w[:, 1], w[:, 2]))
         if not lead.all():
             raise ValueError("matrix maps a point representative to zero")
-        s = fld.inv_np(lead)
-        u0, u1, u2 = mul(w0, s), mul(w1, s), mul(w2, s)
-        size = fld.size
-        keys = (u0 * size + u1) * size + u2
+        keys = self._key(fld.mul_np(w, fld.inv_np(lead)[:, None]))
         pos = np.searchsorted(self._keys, keys)
-        if (pos >= len(self._keys)).any() or \
-                not np.array_equal(self._keys[pos], keys):
+        if (self._keys.take(pos, mode="clip") != keys).any():
             raise ValueError(
                 "matrix does not preserve the isotropic point set (is it "
                 "unitary for this form?)")
-        return pos.astype(self._dtype)
+        return pos
+
+    def _times(self, v, m):
+        """v * M for broadcast stacks of row vectors v (..., 3) and
+        matrices m (..., 3, 3): one mul_np over [..., k, j], then the sum
+        over k."""
+        fld = self.field
+        terms = fld.mul_np(v[..., :, None], m)
+        return fld.add_np(fld.add_np(terms[..., 0, :], terms[..., 1, :]),
+                          terms[..., 2, :])
+
+    def permutation(self, mat: Mat3) -> np.ndarray:
+        """Permutation array of the point indices under v -> v * M."""
+        m = np.array(mat.flat_indices, dtype=np.int64).reshape(3, 3)
+        return self._locate(self._times(self.point_matrix, m)).astype(
+            self._dtype)
+
+    def images(self, point: int, mats) -> np.ndarray:
+        """Indices of the images of one point under each of the stacked
+        matrices mats, a (K, 9) index array."""
+        return self._locate(
+            self._times(self.point_matrix[point], mats.reshape(-1, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
-# Deterministic Schreier-Sims
+# Deterministic Schreier-Sims on matrix elements
 # ---------------------------------------------------------------------------
 
-def _compose(a, b):
-    # x^(a then b) = b[a[x]]; permutations as image arrays (take is the
-    # cheaper gather for it)
-    return b.take(a)
+_DIAGONAL = np.array([1, 0, 0, 0, 1, 0, 0, 0, 1], dtype=np.int64)
+
+
+def _is_scalar(rows):
+    """Which of the stacked matrices rows (K, 9) are scalar."""
+    return (rows == rows[:, :1] * _DIAGONAL).all(axis=1)
 
 
 class _Level:
-    __slots__ = ("beta", "gens", "orbit", "pos", "parent",
-                 "trans", "trans_inv", "pending", "cache_cap")
+    __slots__ = ("beta", "gens", "mats", "orbit", "pos", "T", "Tinv",
+                 "pending")
 
-    def __init__(self, beta: int, identity, cache_cap: int):
+    def __init__(self, beta: int, action: IsotropicAction):
+        ident = np.array(Mat3.identity(action.field).flat_indices,
+                         dtype=np.int64)[None]
         self.beta = beta
-        self.cache_cap = cache_cap  # max memoised transversals per direction
-        self.gens = []
-        self.orbit = [beta]
-        self.pos = {beta: 0}
-        self.parent = {}            # point -> (parent point, gen index)
-        self.trans = {beta: identity}
-        self.trans_inv = {beta: identity}
-        self.pending = deque()      # unprocessed (orbit position, gen index)
+        self.gens = np.empty((0, action.degree), dtype=action.identity.dtype)
+        self.mats = np.empty((0, 9), dtype=np.int64)
+        self.orbit = np.array([beta], dtype=np.int64)
+        self.pos = np.full(action.degree, -1, dtype=np.int64)
+        self.pos[beta] = 0
+        self.T = ident      # T[i] maps beta to orbit[i] (Schreier tree path)
+        self.Tinv = ident   # adj(T[i]), which acts on points as T[i]^-1
+        self.pending = deque()  # unprocessed (orbit position, gen index)
 
-    def add_gen(self, g):
+    def add_gen(self, perm, mat, field: Field):
         gi = len(self.gens)
-        self.gens.append(g)
-        for pos in range(len(self.orbit)):
-            self.pending.append((pos, gi))
-        self._grow()
+        self.gens = np.concatenate((self.gens, perm[None]))
+        self.mats = np.concatenate((self.mats, mat[None]))
+        self.pending.extend(zip(range(len(self.orbit)), repeat(gi)))
+        self._grow(field)
 
-    def _grow(self):
-        i = 0
-        orbit, pos = self.orbit, self.pos
-        while i < len(orbit):
-            a = orbit[i]
-            for gi, g in enumerate(self.gens):
-                b = int(g[a])
-                if b not in pos:
-                    pos[b] = len(orbit)
-                    self.parent[b] = (a, gi)
-                    for gj in range(len(self.gens)):
-                        self.pending.append((len(orbit), gj))
-                    orbit.append(b)
-            i += 1
+    def _grow(self, field: Field):
+        """Close the orbit under the generators, in the order of a scan.
 
-    def transversal(self, c: int):
-        """u with beta^u = c, walking the Schreier tree path.
-
-        Points near the tree root fill the memo first (path compression),
-        so a finite cache_cap keeps the hottest entries.
+        A scan visits the orbit in order and appends, for each point a and
+        each generator g in turn, a^g if it is new.  The old points are
+        closed under the old generators, so the first layer comes from the
+        new generator on the old orbit; each later layer comes from the
+        layer before under every generator, point by point.  First
+        occurrences keep the scan's order and its Schreier-tree parents.
+        The transversals of a layer are those of its parents times one
+        generator, one batched product per layer; their adjugates follow
+        in one batch.
         """
-        t = self.trans.get(c)
-        if t is not None:
-            return t
-        path = []
-        x = c
-        while x not in self.trans:
-            path.append(x)
-            x = self.parent[x][0]
-        u = self.trans[x]
-        for y in reversed(path):
-            u = _compose(u, self.gens[self.parent[y][1]])
-            if len(self.trans) < self.cache_cap:
-                self.trans[y] = u
-        return u
-
-    def transversal_inv(self, c: int):
-        t = self.trans_inv.get(c)
-        if t is None:
-            u = self.transversal(c)
-            t = np.empty_like(u)
-            t[u] = np.arange(len(u), dtype=u.dtype)
-            if len(self.trans_inv) < self.cache_cap:
-                self.trans_inv[c] = t
-        return t
+        ng = len(self.gens)
+        # images run point by point over the last `width` generators; the
+        # first layer's are distinct, one permutation of distinct points
+        images, width = self.gens[-1][self.orbit], 1
+        parent_rows = self.T
+        layers = []
+        while True:
+            fresh = (self.pos[images] < 0).nonzero()[0]
+            if not len(fresh):
+                break
+            if width > 1 and len(fresh) > 1:
+                _, first = np.unique(images[fresh], return_index=True)
+                fresh = fresh[np.sort(first)]
+            new = images[fresh]
+            parent, gen = np.divmod(fresh, width)
+            rows = matmul_np(field, parent_rows[parent],
+                             self.mats[ng - width:][gen])
+            n = len(self.orbit)
+            self.pos[new] = np.arange(n, n + len(new))
+            self.orbit = np.concatenate((self.orbit, new))
+            self.pending.extend(product(range(n, n + len(new)), range(ng)))
+            layers.append(rows)
+            images, width = self.gens[:, new].T.ravel(), ng
+            parent_rows = rows
+        if layers:
+            rows = np.concatenate(layers)
+            self.T = np.concatenate((self.T, rows))
+            self.Tinv = np.concatenate((self.Tinv, adjugate_np(field, rows)))
 
 
 class StabilizerChain:
-    """Incremental deterministic Schreier-Sims on permutation arrays.
+    """Incremental deterministic Schreier-Sims on matrix elements.
 
     Level l stores the full strong generating set S_l of the l-th chain
     subgroup H_l = <S_l>, so S_0 contains (residues of) all input
@@ -244,6 +258,34 @@ class StabilizerChain:
     the first j base points is appended to every level 0..j.  Base points
     are chosen greedily as the first moved point; all iteration orders are
     fixed, so two runs over the same generators agree exactly.
+
+    Matrices and their permutations.  Every element is a 3x3 matrix,
+    (9,) field indices.  A strong generator is also stored as its
+    permutation of the points (IsotropicAction.permutation), which grows
+    the basic orbits; each level keeps, per orbit position i, the
+    Schreier-tree transversal T[i] (beta^T[i] = orbit[i]) and its
+    adjugate.  The map from matrices to point permutations is a
+    homomorphism, so every base image the chain computes is the one the
+    Schreier-Sims chain of the permutation image computes, and so are
+    the orbits, the Schreier trees and the pending Schreier pairs.  Its
+    kernel is the scalar matrices.  The isotropic points contain a
+    projective frame: [0, 0, 1], [1, 0, 0], [1, x, y] and [1, x', y']
+    with x, x' nonzero and distinct and x y' != x' y (each x has q
+    solutions y, at most one of them excluded), and a matrix that fixes
+    the four points of a frame is scalar.  So a residue is the identity
+    permutation exactly when it is a scalar matrix, whether or not the
+    inputs lie in SU3(q), and scalar factors never matter; that is why
+    adj(T) = det(T) T^-1 can stand for the inverse of T.
+
+    Batched sifts.  _drain takes up to SIFT_BATCH pending pairs off the
+    deepest level at once and sifts all their Schreier generators against
+    the same chain, level by level, as numpy arrays.  The first pair, in
+    deque order, whose residue is not scalar is installed exactly as a
+    sequential drain would install it, and the pairs after it go back to
+    the front of the deque.  Every pair before it sifted to a scalar,
+    which a sequential drain consumes without changing anything, so
+    pending order, parents, base, orbit lengths and the stop below are
+    those of the sequential drain, whatever the batch size.
 
     Soundness.  Each basic orbit beta_l^(H_l) is closed under S_l, and
     H_(l+1) fixes beta_l, so H_(l+1) <= Stab_(H_l)(beta_l) and the product
@@ -264,57 +306,63 @@ class StabilizerChain:
     OrderBoundExceeded.
     """
 
-    # full per-point transversal memos below this degree; above it each
-    # level keeps at most CACHE_CAP_LARGE entries per direction, bounding
-    # memory at roughly 4 * cap * degree bytes per level
-    CACHE_DEGREE_LIMIT = 6000
-    CACHE_CAP_LARGE = 2048
-
-    def __init__(self, degree: int, dtype=np.int32,
+    def __init__(self, action: IsotropicAction,
                  order_bound: int | None = None):
-        self.degree = degree
+        self.action = action
+        self.field = action.field
         self.order_bound = order_bound
-        self.identity = np.arange(degree, dtype=dtype)
-        self.cache_cap = (degree + 1 if degree <= self.CACHE_DEGREE_LIMIT
-                          else self.CACHE_CAP_LARGE)
         self.levels: list[_Level] = []
 
-    def add_generator(self, perm: np.ndarray):
-        perm = np.asarray(perm, dtype=self.identity.dtype)
-        if np.array_equal(perm, self.identity):
+    def add_generator(self, mat: Mat3):
+        if mat.is_scalar():
             return
-        residue, lvl = self._sift(perm, 0)
-        if not np.array_equal(residue, self.identity) \
-                and not self._extend(residue, lvl):
+        row = np.array(mat.flat_indices, dtype=np.int64)[None]
+        failure = self._sift(row, 0)
+        if failure is not None and not self._extend(*failure[1:]):
             self._drain()
 
-    def contains(self, perm: np.ndarray) -> bool:
-        residue, _ = self._sift(np.asarray(perm, dtype=self.identity.dtype), 0)
-        return np.array_equal(residue, self.identity)
+    def _sift(self, rows, start: int):
+        """Sift the stacked matrices rows (K, 9) from level start on.
 
-    def _sift(self, g, start: int):
-        r = g
+        Returns (k, residue, level) for the first row k whose residue is
+        not scalar, where level is the one it stopped at (len(levels) if
+        it fixes the whole base), or None if every row sifts to a scalar.
+        Rows after a known failure are dropped, since the caller discards
+        them.
+        """
+        failure = None
         for li in range(start, len(self.levels)):
             level = self.levels[li]
-            c = int(r[level.beta])
-            if c == level.beta:
-                continue
-            if c not in level.pos:
-                return r, li
-            r = _compose(r, level.transversal_inv(c))
-        return r, len(self.levels)
+            at = level.pos[self.action.images(level.beta, rows)]
+            outside = at < 0
+            if outside.any():
+                k = int(outside.argmax())
+                failure = (k, rows[k], li)
+                if not k:
+                    return failure
+                rows, at = rows[:k], at[:k]
+            # a fixed beta has at = 0, and Tinv[0] is the identity
+            rows = matmul_np(self.field, rows, level.Tinv[at])
+        scalar = _is_scalar(rows)
+        if not scalar.all():
+            k = int(scalar.argmin())
+            failure = (k, rows[k], len(self.levels))
+        return failure
 
-    def _extend(self, g, lvl: int) -> bool:
-        """Install g, which fixes the first lvl base points, at levels 0..lvl.
+    def _extend(self, residue, lvl: int) -> bool:
+        """Install residue, which fixes the first lvl base points, at
+        levels 0..lvl.
 
         Returns True once the order has reached order_bound.  Only an
         install changes the order, so this is the one place to check it.
         """
+        perm = self.action.permutation(
+            Mat3.from_flat_indices(self.field, residue.tolist()))
         if lvl == len(self.levels):
-            beta = int(np.flatnonzero(g != self.identity)[0])
-            self.levels.append(_Level(beta, self.identity, self.cache_cap))
+            beta = int(np.flatnonzero(perm != self.action.identity)[0])
+            self.levels.append(_Level(beta, self.action))
         for li in range(lvl + 1):
-            self.levels[li].add_gen(g)
+            self.levels[li].add_gen(perm, residue, self.field)
         if self.order_bound is None:
             return False
         order = self.order()
@@ -336,13 +384,22 @@ class StabilizerChain:
             if lvl is None:
                 return
             level = self.levels[lvl]
-            a_pos, gi = level.pending.popleft()
-            a = level.orbit[a_pos]
-            h = level.gens[gi]
-            w = _compose(level.transversal(a), h)
-            residue, l2 = self._sift(w, lvl)
-            if not np.array_equal(residue, self.identity) \
-                    and self._extend(residue, l2):
+            pending = level.pending
+            batch = [pending.popleft()
+                     for _ in range(min(SIFT_BATCH, len(pending)))]
+            a, gi = np.fromiter(chain.from_iterable(batch), np.int64,
+                                2 * len(batch)).reshape(-1, 2).T
+            # the Schreier generator T[a] g T[c]^-1 with c = orbit[a]^g,
+            # which is in the orbit: level lvl never fails
+            c = level.pos[level.gens[gi, level.orbit[a]]]
+            rows = matmul_np(self.field, matmul_np(
+                self.field, level.T[a], level.mats[gi]), level.Tinv[c])
+            failure = self._sift(rows, lvl + 1)
+            if failure is None:
+                continue
+            k, residue, l2 = failure
+            pending.extendleft(reversed(batch[k + 1:]))
+            if self._extend(residue, l2):
                 return
 
     def order(self) -> int:
@@ -379,14 +436,15 @@ class PermGroupCertificate:
         return out
 
 
-def permutation_order_certificate(perms, degree: int,
+def permutation_order_certificate(action: IsotropicAction, matrices,
                                   order_bound: int | None = None
                                   ) -> PermGroupCertificate:
-    chain = StabilizerChain(degree, dtype=perms[0].dtype,
-                            order_bound=order_bound)
-    for p in perms:
-        chain.add_generator(p)
-    return PermGroupCertificate(degree, chain.order(), chain.base,
+    """Order, base and orbit lengths of the permutation image of the
+    group the matrices generate."""
+    chain = StabilizerChain(action, order_bound)
+    for m in matrices:
+        chain.add_generator(m)
+    return PermGroupCertificate(action.degree, chain.order(), chain.base,
                                 chain.orbit_lengths)
 
 
@@ -394,27 +452,25 @@ def group_order(t: GeneratorTriple,
                 action: IsotropicAction | None = None) -> PermGroupCertificate:
     """Exact order of the permutation image of <X, Y, Z> on isotropic points.
 
-    When X, Y and Z are in SU3 for the action's form, the image lies in
-    PSU3(q) and the chain stops once it reaches |PSU3(q)|; otherwise it
-    gets no bound and drains completely.
+    When X, Y and Z are in SU3(q), the image lies in PSU3(q) and the chain
+    stops once it reaches |PSU3(q)|; otherwise it gets no bound and drains
+    completely.  A generator acts trivially exactly when it is scalar.
     """
     action = action or IsotropicAction(t.field)
-    perms = [action.permutation(m) for m in t.matrices]
-    for name, p in zip("XYZ", perms):
-        if np.array_equal(p, action.identity):
+    for name, m in zip("XYZ", t.matrices):
+        if m.is_scalar():
             raise DegenerateActionError(f"generator {name} acts trivially")
     bound = None
-    if all(is_special_unitary(m, action.form) for m in t.matrices):
+    if all(is_special_unitary(m) for m in t.matrices):
         bound = expected_group_order(t.field.q)
-    return permutation_order_certificate(perms, action.degree, bound)
+    return permutation_order_certificate(action, t.matrices, bound)
 
 
 def dihedral_image_order(t: GeneratorTriple,
                          action: IsotropicAction | None = None) -> int:
     """Order of the permutation image of <Y, Z> (dihedral for valid triples)."""
     action = action or IsotropicAction(t.field)
-    perms = [action.permutation(m) for m in (t.Y, t.Z)]
-    return permutation_order_certificate(perms, action.degree).order
+    return permutation_order_certificate(action, (t.Y, t.Z)).order
 
 
 # ---------------------------------------------------------------------------

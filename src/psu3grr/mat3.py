@@ -171,6 +171,38 @@ class Mat3:
         return f"Mat3({self.to_str()})"
 
 
+# ---------------------------------------------------------------------------
+# Stacked matrices: (K, 9) arrays of row-major field indices
+# ---------------------------------------------------------------------------
+
+def matmul_np(field: Field, a, b):
+    """Row-wise products a[k] * b[k] of stacked matrices.
+
+    All 27 entry products come from one log-domain gather over
+    (K, i, k, j), then two add_np calls sum over k.
+    """
+    terms = field.mul_np(a.reshape(-1, 3, 3, 1), b.reshape(-1, 1, 3, 3))
+    return field.add_np(field.add_np(terms[:, :, 0], terms[:, :, 1]),
+                        terms[:, :, 2]).reshape(-1, 9)
+
+
+# adj(M) entry t is M[_ADJ_L1[t]] M[_ADJ_R1[t]] - M[_ADJ_L2[t]] M[_ADJ_R2[t]],
+# the cofactor formulas of Mat3.inverse
+_ADJ_L1 = [4, 2, 1, 5, 0, 2, 3, 1, 0]
+_ADJ_R1 = [8, 7, 5, 6, 8, 3, 7, 6, 4]
+_ADJ_L2 = [5, 1, 2, 3, 2, 0, 4, 0, 1]
+_ADJ_R2 = [7, 8, 4, 8, 6, 5, 6, 7, 3]
+
+
+def adjugate_np(field: Field, a):
+    """Row-wise adjugates of stacked matrices: adj(M) = det(M) M^-1."""
+    minus_one = field.neg_index(field.one.index)
+    plus = field.mul_np(a[:, _ADJ_L1], a[:, _ADJ_R1])
+    minus = field.mul_np(field.mul_np(a[:, _ADJ_L2], a[:, _ADJ_R2]),
+                         minus_one)
+    return field.add_np(plus, minus)
+
+
 @dataclass(frozen=True)
 class CharPoly:
     """Monic cubic det(lI - M) as its lower coefficients (c2, c1, c0)."""

@@ -68,8 +68,8 @@ def test_certificates_are_deterministic():
 
 
 def test_order_gate_for_large_degree():
-    # q = 27 has permutation degree 19684, above the default gate
-    cert, code = run_certify(RunConfig(3, 3))
+    # q = 41 has permutation degree 68922, above the default gate
+    cert, code = run_certify(RunConfig(41, 1))
     assert code == EXIT_STAGE_FAILED
     assert cert["verdict"] == "FAILED"
     assert "allow-large-order" in cert["detail"]
@@ -127,11 +127,14 @@ VERDICT_HASHES = {
     8: "028e63182b79219e4727e1c32e16f8fc7c9d4f9a4986b982eeb3881d50438f3a",
     9: "37f2e8cad9ad3c4ce3a7f1e5c6c01ea27304a91e2b276bd8f8fb8faa2129cd6f",
     11: "b5d6531af3f524074286b944fd2c5f0945784abab02e8877a3823657c2c2c3c7",
+    27: "28a8f92ea530b366fb52d5a15fe3d81556d22a169d2f48856dad36d8e95accfe",
+    32: "76ad14ad5176d5330eb7bc5cefe5ea24588deacd40bb0ac3925ebd72a0db0d4a",
+    37: "38eb2f82fd414f624f61ba593ebc639be9b578fbc6000cfdc126bfb354599d96",
 }
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
-                                 (11, 1)])
+                                 (11, 1), (3, 3), (2, 5), (37, 1)])
 def test_verdict_certificates_are_pinned(p, f):
     cert, code = run_certify(RunConfig(p, f))
     assert code == EXIT_OK

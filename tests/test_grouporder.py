@@ -1,5 +1,6 @@
 """Isotropic geometry, the permutation action, and the order certificates."""
 
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,192 @@ from psu3grr.grouporder import (DegenerateActionError, IsotropicAction,
                                 group_order, invariant_subspace_test,
                                 isotropic_points)
 from psu3grr.mat3 import Mat3, is_special_unitary, standard_hermitian_form
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the size^2 point scan and the Schreier-Sims chain on permutation
+# arrays that the matrix chain replays
+# ---------------------------------------------------------------------------
+
+def _scanned_point_matrix(F):
+    """Every normalized [0, 0, 1], [0, 1, x], [1, x, y] on which the form
+    vanishes, by evaluating it at all of them; sorted by key."""
+    add, mul = F.add_np, F.mul_np
+    w = standard_hermitian_form(F).matrix.flat_indices
+    one = F.one.index
+
+    def form(*v):
+        acc = np.zeros_like(v[0])
+        for i in range(3):
+            ci = F.powq_np(v[i])
+            for j in range(3):
+                if w[3 * i + j]:
+                    acc = add(acc, mul(mul(ci, w[3 * i + j]), v[j]))
+        return acc
+
+    x = np.arange(F.size, dtype=np.int64)
+    zeros, ones = np.zeros_like(x), np.full_like(x, one)
+    xx, yy = np.repeat(x, F.size), np.tile(x, F.size)
+    candidates = [np.array([[0, 0, one]]), np.stack([zeros, ones, x], 1),
+                  np.stack([np.full_like(xx, one), xx, yy], 1)]
+    pts = np.concatenate([c[form(*c.T) == 0] for c in candidates])
+    keys = (pts[:, 0] * F.size + pts[:, 1]) * F.size + pts[:, 2]
+    return pts[np.argsort(keys)]
+
+
+def _compose(a, b):
+    # x^(a then b) = b[a[x]]
+    return b.take(a)
+
+
+class _PermLevel:
+    def __init__(self, beta, identity):
+        self.beta = beta
+        self.gens = []
+        self.orbit = [beta]
+        self.pos = {beta: 0}
+        self.parent = {}            # point -> (parent point, gen index)
+        self.trans = {beta: identity}
+        self.trans_inv = {beta: identity}
+        self.pending = deque()      # unprocessed (orbit position, gen index)
+
+    def add_gen(self, g):
+        gi = len(self.gens)
+        self.gens.append(g)
+        for pos in range(len(self.orbit)):
+            self.pending.append((pos, gi))
+        self._grow()
+
+    def _grow(self):
+        i = 0
+        orbit, pos = self.orbit, self.pos
+        while i < len(orbit):
+            a = orbit[i]
+            for gi, g in enumerate(self.gens):
+                b = int(g[a])
+                if b not in pos:
+                    pos[b] = len(orbit)
+                    self.parent[b] = (a, gi)
+                    for gj in range(len(self.gens)):
+                        self.pending.append((len(orbit), gj))
+                    orbit.append(b)
+            i += 1
+
+    def transversal(self, c):
+        """u with beta^u = c, along the Schreier tree path."""
+        path = []
+        x = c
+        while x not in self.trans:
+            path.append(x)
+            x = self.parent[x][0]
+        u = self.trans[x]
+        for y in reversed(path):
+            u = self.trans[y] = _compose(u, self.gens[self.parent[y][1]])
+        return u
+
+    def transversal_inv(self, c):
+        t = self.trans_inv.get(c)
+        if t is None:
+            u = self.transversal(c)
+            t = self.trans_inv[c] = np.empty_like(u)
+            t[u] = np.arange(len(u), dtype=u.dtype)
+        return t
+
+
+class PermChain:
+    """Sequential deterministic Schreier-Sims on permutation arrays: one
+    Schreier pair at a time, residues composed as arrays of the degree.
+    StabilizerChain must reproduce it level by level."""
+
+    def __init__(self, degree, order_bound=None):
+        self.order_bound = order_bound
+        self.identity = np.arange(degree)
+        self.levels = []
+
+    def add_generator(self, perm):
+        if np.array_equal(perm, self.identity):
+            return
+        residue, lvl = self._sift(perm, 0)
+        if not np.array_equal(residue, self.identity) \
+                and not self._extend(residue, lvl):
+            self._drain()
+
+    def contains(self, perm):
+        residue, _ = self._sift(perm, 0)
+        return np.array_equal(residue, self.identity)
+
+    def _sift(self, g, start):
+        r = g
+        for li in range(start, len(self.levels)):
+            level = self.levels[li]
+            c = int(r[level.beta])
+            if c == level.beta:
+                continue
+            if c not in level.pos:
+                return r, li
+            r = _compose(r, level.transversal_inv(c))
+        return r, len(self.levels)
+
+    def _extend(self, g, lvl):
+        if lvl == len(self.levels):
+            beta = int(np.flatnonzero(g != self.identity)[0])
+            self.levels.append(_PermLevel(beta, self.identity))
+        for li in range(lvl + 1):
+            self.levels[li].add_gen(g)
+        if self.order_bound is None:
+            return False
+        order = self.order()
+        if order > self.order_bound:
+            raise OrderBoundExceeded(f"chain order {order}")
+        return order == self.order_bound
+
+    def _drain(self):
+        while True:
+            busy = [li for li, lv in enumerate(self.levels) if lv.pending]
+            if not busy:
+                return
+            level = self.levels[busy[-1]]
+            a_pos, gi = level.pending.popleft()
+            w = _compose(level.transversal(level.orbit[a_pos]),
+                         level.gens[gi])
+            residue, l2 = self._sift(w, busy[-1])
+            if not np.array_equal(residue, self.identity) \
+                    and self._extend(residue, l2):
+                return
+
+    def order(self):
+        out = 1
+        for level in self.levels:
+            out *= len(level.orbit)
+        return out
+
+    @property
+    def base(self):
+        return tuple(level.beta for level in self.levels)
+
+    @property
+    def orbit_lengths(self):
+        return tuple(len(level.orbit) for level in self.levels)
+
+
+def _perm_chain(perms, degree, order_bound=None):
+    chain = PermChain(degree, order_bound)
+    for p in perms:
+        chain.add_generator(p)
+    return chain
+
+
+def _matrix_chain(action, mats, order_bound=None):
+    chain = StabilizerChain(action, order_bound)
+    for m in mats:
+        chain.add_generator(m)
+    return chain
+
+
+def _levels(chain):
+    """Per level: base point, orbit, strong generator count, pending pairs."""
+    return [(lv.beta, [int(x) for x in lv.orbit], len(lv.gens),
+             list(lv.pending)) for lv in chain.levels]
 
 
 def _independent_isotropic_count(F):
@@ -63,6 +250,16 @@ def test_points_are_normalized_and_sorted():
     for p in pts:
         lead = next(x for x in p if x)
         assert lead == F.one.index
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (2, 4), (5, 2)])
+def test_point_enumeration_matches_the_full_scan(p, f):
+    """The trace-fibre enumeration equals the scan of all size^2
+    candidates at q = 4, 5, 7, 8, 9, 16 and 25."""
+    F = field(p, f)
+    assert np.array_equal(IsotropicAction(F).point_matrix,
+                          _scanned_point_matrix(F))
 
 
 def test_action_is_a_homomorphism():
@@ -166,9 +363,7 @@ def test_stabilizer_chain_small_known_group():
     """Chain order against brute closure for a dihedral group on 6 points."""
     rot = np.array([1, 2, 3, 4, 5, 0], dtype=np.int32)
     refl = np.array([0, 5, 4, 3, 2, 1], dtype=np.int32)
-    chain = StabilizerChain(6)
-    chain.add_generator(rot)
-    chain.add_generator(refl)
+    chain = _perm_chain([rot, refl], 6)
     assert chain.order() == 12
     assert chain.contains(rot[refl])
     odd_cycle = np.array([1, 0, 2, 3, 4, 5], dtype=np.int32)
@@ -178,10 +373,7 @@ def test_stabilizer_chain_small_known_group():
 def test_stabilizer_chain_symmetric_group():
     cyc = np.array([1, 2, 3, 4, 0], dtype=np.int32)
     swap = np.array([1, 0, 2, 3, 4], dtype=np.int32)
-    chain = StabilizerChain(5)
-    chain.add_generator(cyc)
-    chain.add_generator(swap)
-    assert chain.order() == 120
+    assert _perm_chain([cyc, swap], 5).order() == 120
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (7, 1), (2, 2), (2, 3)])
@@ -245,14 +437,6 @@ def test_irreducibility_oracles_agree_on_tested_triples():
         assert irr == (comm == 1)
 
 
-def _chain(perms, degree, order_bound=None):
-    chain = StabilizerChain(degree, dtype=perms[0].dtype,
-                            order_bound=order_bound)
-    for p in perms:
-        chain.add_generator(p)
-    return chain
-
-
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                                  (11, 1), (13, 1)])
 def test_bounded_chain_matches_full_drain(p, f):
@@ -260,9 +444,8 @@ def test_bounded_chain_matches_full_drain(p, f):
     F = field(p, f)
     act = IsotropicAction(F)
     t = build_triple(search_params(F))
-    perms = [act.permutation(m) for m in t.matrices]
-    full = _chain(perms, act.degree, order_bound=None)
-    bounded = _chain(perms, act.degree, expected_group_order(F.q))
+    full = _matrix_chain(act, t.matrices, order_bound=None)
+    bounded = _matrix_chain(act, t.matrices, expected_group_order(F.q))
     assert not any(level.pending for level in full.levels)
     assert any(level.pending for level in bounded.levels)  # stopped early
     assert bounded.order() == full.order() == expected_group_order(F.q)
@@ -271,6 +454,55 @@ def test_bounded_chain_matches_full_drain(p, f):
     cert = group_order(t, act)
     assert (cert.order, cert.base, cert.orbit_lengths) == \
         (full.order(), full.base, full.orbit_lengths)
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4)])
+def test_matrix_chain_replays_the_permutation_chain(p, f):
+    """Same order, base and orbit lengths, and on every level the same
+    orbit, strong generator count and pending pairs, for the generation
+    chain (bounded) and the dihedral chain (unbounded)."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    for mats, bound in [(t.matrices, expected_group_order(F.q)),
+                        ((t.Y, t.Z), None)]:
+        perms = [act.permutation(m) for m in mats]
+        oracle = _perm_chain(perms, act.degree, bound)
+        chain = _matrix_chain(act, mats, bound)
+        assert (chain.order(), chain.base, chain.orbit_lengths) == \
+            (oracle.order(), oracle.base, oracle.orbit_lengths)
+        assert _levels(chain) == _levels(oracle)
+        # same Schreier trees: transversals act as the oracle's do
+        for level, expected in zip(chain.levels, oracle.levels):
+            for i in range(0, len(level.orbit), len(level.orbit) // 16 + 1):
+                t = Mat3.from_flat_indices(F, level.T[i].tolist())
+                assert np.array_equal(act.permutation(t), expected.transversal(
+                    expected.orbit[i]))
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 3)])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_chain_does_not_depend_on_the_batch_size(p, f, batch, monkeypatch):
+    F = field(p, f)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    bound = expected_group_order(F.q)
+    default = _levels(_matrix_chain(act, t.matrices, bound))
+    monkeypatch.setattr(grouporder, "SIFT_BATCH", batch)
+    assert _levels(_matrix_chain(act, t.matrices, bound)) == default
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 3), (3, 2)])
+def test_batched_images_are_permutation_rows(p, f):
+    F = field(p, f)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    mats = [t.X, t.Y, t.Z, t.X * t.Y, t.X * t.Y * t.Z]
+    stack = np.array([m.flat_indices for m in mats])
+    for point in (0, 1, 2, act.degree - 1):
+        assert act.images(point, stack).tolist() == \
+            [int(act.permutation(m)[point]) for m in mats]
 
 
 def test_only_special_unitary_triples_get_the_order_bound(monkeypatch):
@@ -285,9 +517,9 @@ def test_only_special_unitary_triples_get_the_order_bound(monkeypatch):
     bounds = []
     certify = grouporder.permutation_order_certificate
 
-    def spy(perms, degree, order_bound=None):
+    def spy(action, matrices, order_bound=None):
         bounds.append(order_bound)
-        return certify(perms, degree, order_bound)
+        return certify(action, matrices, order_bound)
     monkeypatch.setattr(grouporder, "permutation_order_certificate", spy)
     act = IsotropicAction(F)
     assert group_order(scaled, act) == group_order(t, act)
@@ -298,12 +530,12 @@ def test_chain_raises_when_the_bound_is_too_small():
     cyc = np.array([1, 2, 3, 4, 0], dtype=np.int32)
     swap = np.array([1, 0, 2, 3, 4], dtype=np.int32)
     with pytest.raises(OrderBoundExceeded):
-        _chain([cyc, swap], 5, order_bound=119)
+        _perm_chain([cyc, swap], 5, order_bound=119)
     F = field(5, 1)
     act = IsotropicAction(F)
-    perms = [act.permutation(m) for m in build_triple(search_params(F)).matrices]
     with pytest.raises(OrderBoundExceeded):
-        _chain(perms, act.degree, expected_group_order(F.q) - 1)
+        _matrix_chain(act, build_triple(search_params(F)).matrices,
+                      expected_group_order(F.q) - 1)
 
 
 @pytest.mark.parametrize("b", ["0,4", "1,1"])

@@ -2,13 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from psu3grr.construct import build_triple, search_params
 from psu3grr.gf import field
-from psu3grr.mat3 import (Mat3, is_special_unitary, matrix_order,
-                          projective_order, projectively_equal,
-                          standard_hermitian_form, su3_center_scalars)
+from psu3grr.mat3 import (Mat3, adjugate_np, is_special_unitary,
+                          matmul_np, matrix_order, projective_order,
+                          projectively_equal, standard_hermitian_form,
+                          su3_center_scalars)
 
 
 def _random_matrix(F, rng):
@@ -53,6 +55,27 @@ def test_inverse():
     assert not singular.det()
     with pytest.raises(ZeroDivisionError):
         singular.inverse()
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (7, 2)])
+def test_stacked_kernels_match_mat3(p, f):
+    """matmul_np and adjugate_np against Mat3 on random matrices with
+    zero entries, over GF(5^2), GF(2^4) and GF(7^4)."""
+    F = field(p, f)
+    rng = np.random.default_rng(100 * p + f)
+    a, b = rng.integers(0, F.size, (2, 200, 9))
+    a[rng.random(a.shape) < 0.3] = 0
+    b[rng.random(b.shape) < 0.3] = 0
+    a[0], b[1] = 0, Mat3.identity(F).flat_indices
+    products, adjugates = matmul_np(F, a, b), adjugate_np(F, a)
+    for k in range(len(a)):
+        ma = Mat3.from_flat_indices(F, a[k].tolist())
+        mb = Mat3.from_flat_indices(F, b[k].tolist())
+        assert products[k].tolist() == list((ma * mb).flat_indices)
+        adj = Mat3.from_flat_indices(F, adjugates[k].tolist())
+        assert ma * adj == Mat3.identity(F).scalar_mul(ma.det())
+        if ma.det():
+            assert adj == ma.inverse().scalar_mul(ma.det())
 
 
 def test_conj_transpose_is_involution():
