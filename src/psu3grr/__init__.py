@@ -12,7 +12,7 @@ automorphisms preserving the connection set.
 __version__ = "0.1.0"
 
 from .gf import Field, FieldElem, field
-from .mat3 import CharPoly, HermitianForm, Mat3
+from .mat3 import CharPoly, Mat3
 
 __all__ = [
     "Field",
@@ -20,5 +20,4 @@ __all__ = [
     "field",
     "Mat3",
     "CharPoly",
-    "HermitianForm",
 ]

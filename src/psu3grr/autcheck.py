@@ -152,7 +152,7 @@ def _nullspace_lines(basis, fld):
 def _is_form_similitude(d: Mat3) -> bool:
     """conj_transpose(D) . W . D = c . W for some nonzero scalar c."""
     fld = d.field
-    w = standard_hermitian_form(fld).matrix
+    w = standard_hermitian_form(fld)
     prod = d.conj_transpose() * w * d
     # reference entry: first nonzero entry of W
     ref = next(k for k in range(9) if w.e[k])

@@ -179,25 +179,14 @@ def condition_holds(field: Field, parity: str, cond: str, a: FieldElem,
     return left != right
 
 
-def check_conditions_odd(field: Field, a: FieldElem, b: FieldElem,
-                         exponents) -> bool:
-    for i in exponents:
-        if not condition_holds(field, "odd", "yz-xy", a, b, i):
-            return False
-        if not condition_holds(field, "odd", "yz-xz", a, b, i):
-            return False
-    return condition_holds(field, "odd", "xy-xz", a, b)
-
-
-def check_conditions_even(field: Field, a: FieldElem, b: FieldElem,
-                          exponents) -> bool:
-    for i in exponents:
-        if not condition_holds(field, "even", "zx-zy", a, b, i):
-            return False
-        if not condition_holds(field, "even", "zx-xy", a, b, i):
-            return False
-    return (condition_holds(field, "even", "zy-xy", a, b)
-            and condition_holds(field, "even", "trace-nonzero", a, b))
+def check_conditions(field: Field, parity: str, a: FieldElem, b: FieldElem,
+                     exponents) -> bool:
+    """Every separation condition of the parity, each twisted condition at
+    every exponent of the set."""
+    conds = ODD_CONDITIONS if parity == "odd" else EVEN_CONDITIONS
+    return all(condition_holds(field, parity, cond, a, b, i)
+               for cond in conds
+               for i in (exponents if cond in TWISTED else (None,)))
 
 
 def elements_of_order(field: Field, n: int):
@@ -213,11 +202,10 @@ def search_params(field: Field) -> ConstructionParams:
     b = find_b(field, parity)
     exponents = exponent_set(field.f, parity)
     target_order = field.q - 1 if parity == "odd" else field.q + 1
-    check = check_conditions_odd if parity == "odd" else check_conditions_even
     first_a = None
     census = 0
     for a in elements_of_order(field, target_order):
-        if check(field, a, b, exponents):
+        if check_conditions(field, parity, a, b, exponents):
             census += 1
             if first_a is None:
                 first_a = a

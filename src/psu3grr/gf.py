@@ -14,16 +14,17 @@ Determinism rules used throughout the package:
     index is the rank in that order, so "first element satisfying X" always
     means "smallest index satisfying X".
 
-Every field builds, once, the discrete log and antilog tables of its first
-multiplicative generator g and the Zech table Z with 1 + g^k = g^Z(k)
-(Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory
-1990): three arrays of O(q^2) entries, through which every operation goes.
-Scalar operations are a few list lookups in the log domain.  The numpy
-kernels add_np, mul_np, inv_np and powq_np, for index arrays, gather from a
-layout of the same tables that is built on first use and gives zero a log
-of its own, so that no kernel needs a mask.  Either way arithmetic is O(1).
-The polynomial routines only choose the modulus and the generator, and
-serve the tests as an independent reference.
+Every field builds, once and eagerly, the discrete log and antilog tables
+of its first multiplicative generator g and the Zech table Z with
+1 + g^k = g^Z(k) (Huber, "Some comments on Zech's logarithms", IEEE Trans.
+Inf. Theory 1990): arrays of O(q^2) entries, through which every operation
+goes.  They have one layout, in which zero has a log of its own (see
+Field._log_tables), so no operation branches or masks on zero.  The numpy
+kernels add_np, mul_np, inv_np and powq_np, for index arrays, gather from
+the arrays; the scalar methods read list copies of the same arrays with the
+same formulas.  Either way arithmetic is O(1).  The polynomial routines only
+choose the modulus and the generator, and serve the tests as an independent
+reference.
 """
 
 from __future__ import annotations
@@ -199,16 +200,24 @@ class Field:
         self._order_factors = factorize(self._mult_order)
         # log of -1: g^(n/2) is the only element of order 2 when p is odd
         self._neg_log = 0 if p == 2 else self._mult_order // 2
+        # log of 0 in the tables' layout (Field._log_tables)
+        self._zero_log = 2 * self._mult_order
 
-        exp, log, zech = self._log_tables()
-        # exp is stored twice over, so a sum of two logs (or minus a log)
-        # indexes it without reduction mod n; a negative difference of logs
-        # indexes zech the same way through Python's negative indexing
-        self._exp = exp.tolist() * 2
+        log, exp, zech, self._inv_arr, self._powq_arr = self._log_tables()
+        self._log_arr, self._exp_arr, self._zech_arr = log, exp, zech
+        # list copies of the same tables for the scalar methods, which index
+        # lists faster than arrays.  The two periods of exp and of zech's Z
+        # values share their int objects, and each list is built in one
+        # pass, which keeps the copies' peak memory down on large fields
+        n = self._mult_order
         self._log = log.tolist()
-        if self._log.count(-1) != 1:  # only log[0]: g^k reaches every x != 0
-            raise AssertionError("generator powers miss a nonzero element")
-        self._zech = zech.tolist()
+        head = exp[:n].tolist()
+        z = zech[2 * n:3 * n].tolist()
+        self._exp = list(itertools.chain(
+            head, head, itertools.repeat(0, 2 * n + 1)))
+        self._zech = list(itertools.chain(
+            range(-2 * n, -n), [0], itertools.islice(z, 1, None), z,
+            itertools.repeat(0, n + 1)))
 
         self.zero = FieldElem(self, 0)
         self.one = self.from_int(1)
@@ -258,11 +267,20 @@ class Field:
     # -- table construction --------------------------------------------------
 
     def _log_tables(self):
-        """(exp, log, zech) of the first generator g, as int64 arrays.
+        """(log, exp, zech, inv, powq) int64 arrays of the first generator g.
 
-        exp[k] is the index of g^k for 0 <= k < n = size - 1; log[i] is the
-        k with g^k = i, and log[0] = -1; zech[k] is log(1 + g^k), or -1
-        where 1 + g^k = 0.
+        With n = size - 1, exp[k] is the index of g^k for k < 2n and 0 from
+        2n on; log[i] is the k < n with g^k = i, and zero gets the log 2n,
+        so exp[log a + log b] = a * b for every pair.  zech is indexed by
+        d = log b - log a + 2n, and exp[log a + zech[d]] = a + b:
+          n < d < 3n   a, b nonzero: Z(d - 2n), or 2n where 1 + g^(d - 2n)
+                       is zero, which sends the sum to exp[>= 2n] = 0;
+          d < n        a = 0, d = log b: d - 2n, so the sum reads exp[log b];
+          d > 3n       b = 0: 0, so the sum reads exp[log a];
+          d = 2n       also a = b = 0, where log a = 2n already reads 0.
+        inv (with inv[0] = 0) and powq, x -> x^q, are lookups by index.
+        All are int64, numpy's index type, so that one kernel's output
+        indexes the next kernel's tables without a conversion.
 
         exp is built in blocks of B ~ sqrt(n) rows: with M the GF(p)-linear
         map "multiply by g" on coefficient row vectors, the first block is
@@ -284,17 +302,28 @@ class Field:
             rows[k] = step[0]  # coefficients of g^k = (1, 0, ..., 0) M^k
             step = step @ mul_g % p
         place = np.array(self._place, dtype=np.int64)
-        exp = np.empty(n, dtype=np.int64)
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
         for start in range(0, n, block):
             stop = min(start + block, n)
             exp[start:stop] = rows[:stop - start] @ place
             rows = rows @ step % p
-        log = np.full(self.size, -1, dtype=np.int64)
-        log[exp] = np.arange(n, dtype=np.int64)
+        exp[n:2 * n] = exp[:n]
+        log = np.full(self.size, 2 * n, dtype=np.int64)
+        log[exp[:n]] = np.arange(n, dtype=np.int64)
+        if (log[1:] == 2 * n).any():  # g^k must reach every x != 0
+            raise AssertionError("generator powers miss a nonzero element")
         # 1 + x raises the constant coefficient, which weighs place[0] =
         # size / p, so the index of 1 + x is (x + place[0]) mod size
-        one_plus = (exp + self._place[0]) % self.size
-        return exp, log, log[one_plus]
+        z = log[(exp[:n] + self._place[0]) % self.size]
+        zech = np.zeros(4 * n + 1, dtype=np.int64)
+        zech[:n] = np.arange(-2 * n, -n)
+        zech[n + 1:2 * n] = z[1:]
+        zech[2 * n:3 * n] = z
+        inv = np.zeros(self.size, dtype=np.int64)
+        inv[1:] = exp[n - log[1:]]
+        powq = np.zeros(self.size, dtype=np.int64)
+        powq[1:] = exp[log[1:] * self.q % n]
+        return log, exp, zech, inv, powq
 
     def _find_generator(self) -> int:
         """Index of the first multiplicative generator in enumeration order."""
@@ -311,30 +340,21 @@ class Field:
 
     def add_index(self, i, j):
         # g^a + g^b = g^a (1 + g^(b-a)) = g^(a + Z(b-a))
-        if i == 0:
-            return j
-        if j == 0:
-            return i
         log = self._log
         a = log[i]
-        z = self._zech[log[j] - a]
-        return 0 if z < 0 else self._exp[a + z]
+        return self._exp[a + self._zech[log[j] - a + self._zero_log]]
 
     def mul_index(self, i, j):
-        if i == 0 or j == 0:
-            return 0
         log = self._log
         return self._exp[log[i] + log[j]]
 
     def neg_index(self, i):
-        if i == 0:
-            return 0
         return self._exp[self._log[i] + self._neg_log]
 
     def inv_index(self, i):
         if i == 0:
             raise ZeroDivisionError("inversion of the zero field element")
-        return self._exp[-self._log[i]]
+        return self._exp[self._mult_order - self._log[i]]
 
     def pow_index(self, i, e):
         if i == 0:
@@ -357,60 +377,26 @@ class Field:
 
     # -- numpy kernels on index arrays ---------------------------------------
 
-    @functools.cached_property
-    def _np_tables(self):
-        """(log, exp, zech, inv, powq) int64 arrays for the numpy kernels.
-
-        With n = size - 1, zero gets the log 2n and exp reads 0 from 2n on,
-        so exp[log a + log b] = a * b for every pair.  zech is indexed by
-        d = log b - log a + 2n, and exp[log a + zech[d]] = a + b:
-          n < d < 3n   a, b nonzero: Z(d - 2n), or 2n where 1 + g^(d - 2n)
-                       is zero, which sends the sum to exp[>= 2n] = 0;
-          d < n        a = 0, d = log b: d - 2n, so the sum reads exp[log b];
-          d > 3n       b = 0: 0, so the sum reads exp[log a];
-          d = 2n       also a = b = 0, where log a = 2n already reads 0.
-        inv (with inv[0] = 0) and powq, x -> x^q, are lookups by index.
-        All are int64, numpy's index type, so that one kernel's output
-        indexes the next kernel's tables without a conversion.
-        """
-        n = self._mult_order
-        log = np.array(self._log, dtype=np.int64)
-        log[0] = 2 * n
-        exp = np.zeros(4 * n + 1, dtype=np.int64)
-        exp[:2 * n] = self._exp
-        z = np.array(self._zech, dtype=np.int64)
-        z[z < 0] = 2 * n
-        zech = np.zeros(4 * n + 1, dtype=np.int64)
-        zech[:n] = np.arange(-2 * n, -n)
-        diff = np.arange(1 - n, n)  # log b - log a, both nonzero
-        zech[diff + 2 * n] = z[diff % n]
-        nonzero = log[1:]
-        inv = np.zeros(self.size, dtype=np.int64)
-        inv[1:] = exp[-nonzero % n]
-        powq = np.zeros(self.size, dtype=np.int64)
-        powq[1:] = exp[nonzero * self.q % n]
-        return log, exp, zech, inv, powq
-
     def add_np(self, a, b):
         """Elementwise a + b of index arrays (or ints), as int64 indices."""
-        log, exp, zech = self._np_tables[:3]
+        log = self._log_arr
         la = log.take(a)
         d = log.take(b) - la
-        d += 2 * self._mult_order
-        return exp.take(la + zech.take(d))
+        d += self._zero_log
+        return self._exp_arr.take(la + self._zech_arr.take(d))
 
     def mul_np(self, a, b):
         """Elementwise a * b of index arrays (or ints), as int64 indices."""
-        log, exp = self._np_tables[:2]
-        return exp.take(log.take(a) + log.take(b))
+        log = self._log_arr
+        return self._exp_arr.take(log.take(a) + log.take(b))
 
     def inv_np(self, a):
         """Elementwise inverse of an index array; zero maps to zero."""
-        return self._np_tables[3].take(a)
+        return self._inv_arr.take(a)
 
     def powq_np(self, a):
         """Elementwise x -> x^q of an index array."""
-        return self._np_tables[4].take(a)
+        return self._powq_arr.take(a)
 
     # -- serialization -------------------------------------------------------
 

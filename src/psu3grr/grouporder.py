@@ -67,25 +67,15 @@ def expected_group_order(q: int) -> int:
 # Isotropic points and the permutation action on them
 # ---------------------------------------------------------------------------
 
-def isotropic_points(field: Field):
-    """All projective points [v] with conj(v)^T . W . v = 0.
-
-    W is standard_hermitian_form.  Representatives are normalized (first
-    nonzero coordinate = 1) and the list is sorted by representative in
-    field enumeration order.  The count is always q^3 + 1.
-    """
-    action = IsotropicAction(field)
-    return [tuple(FieldElem(field, int(i)) for i in row)
-            for row in action.point_matrix]
-
-
 class IsotropicAction:
     """Vectorised right action of matrices on the isotropic point set.
 
     Points are row vectors v acted on by v -> v * M, then renormalised.
     Coordinates are field index arrays, combined with the field's numpy
     kernels (add_np, mul_np, inv_np, powq_np), so any field works.  The
-    form is always standard_hermitian_form.
+    form is always standard_hermitian_form.  point_matrix holds the q^3 + 1
+    points as rows of three field indices: normalized (first nonzero
+    coordinate 1) and sorted by representative in enumeration order.
     """
 
     def __init__(self, field: Field):

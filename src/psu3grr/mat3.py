@@ -19,6 +19,19 @@ from dataclasses import dataclass
 from .gf import Field, FieldElem
 
 
+# adj(M) entry t is M[_ADJ_L1[t]] M[_ADJ_R1[t]] - M[_ADJ_L2[t]] M[_ADJ_R2[t]]
+# for M row-major: the cofactor formulas of Mat3 and adjugate_np
+_ADJ_L1 = [4, 2, 1, 5, 0, 2, 3, 1, 0]
+_ADJ_R1 = [8, 7, 5, 6, 8, 3, 7, 6, 4]
+_ADJ_L2 = [5, 1, 2, 3, 2, 0, 4, 0, 1]
+_ADJ_R2 = [7, 8, 4, 8, 6, 5, 6, 7, 3]
+
+
+def _cofactor(m, t):
+    """Entry t of adj(M), for the nine entries m of M."""
+    return m[_ADJ_L1[t]] * m[_ADJ_R1[t]] - m[_ADJ_L2[t]] * m[_ADJ_R2[t]]
+
+
 class Mat3:
     __slots__ = ("field", "e")
 
@@ -104,21 +117,18 @@ class Mat3:
         return self.e[0] + self.e[4] + self.e[8]
 
     def det(self) -> FieldElem:
-        (a, b, c, d, e, f, g, h, i) = self.e
-        return (a * (e * i - f * h)
-                - b * (d * i - f * g)
-                + c * (d * h - e * g))
+        """Expansion along row 0, whose cofactors are adj(M) column 0."""
+        m = self.e
+        return (m[0] * _cofactor(m, 0) + m[1] * _cofactor(m, 3)
+                + m[2] * _cofactor(m, 6))
 
     def inverse(self) -> "Mat3":
-        (a, b, c, d, e, f, g, h, i) = self.e
         det = self.det()
         if not det:
             raise ZeroDivisionError("singular matrix")
         s = det.inv()
-        adj = (e * i - f * h, c * h - b * i, b * f - c * e,
-               f * g - d * i, a * i - c * g, c * d - a * f,
-               d * h - e * g, b * g - a * h, a * e - b * d)
-        return Mat3(self.field, tuple(s * x for x in adj))
+        m = self.e
+        return Mat3(self.field, tuple(s * _cofactor(m, t) for t in range(9)))
 
     def __pow__(self, n: int) -> "Mat3":
         if n < 0:
@@ -136,11 +146,12 @@ class Mat3:
         """Coefficients of det(lambda*I - M) = l^3 + c2 l^2 + c1 l + c0.
 
         Closed-form cofactor expansion: c2 = -trace, c1 = sum of principal
-        2x2 minors, c0 = -det.  Integral formulas, valid in char 2 and 3.
+        2x2 minors (the diagonal of adj(M)), c0 = -det.  Integral formulas,
+        valid in char 2 and 3.
         """
-        (a, b, c, d, e, f, g, h, i) = self.e
-        c2 = -(a + e + i)
-        c1 = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+        m = self.e
+        c2 = -(m[0] + m[4] + m[8])
+        c1 = _cofactor(m, 8) + _cofactor(m, 4) + _cofactor(m, 0)
         c0 = -self.det()
         return CharPoly(c2, c1, c0)
 
@@ -186,14 +197,6 @@ def matmul_np(field: Field, a, b):
                         terms[:, :, 2]).reshape(-1, 9)
 
 
-# adj(M) entry t is M[_ADJ_L1[t]] M[_ADJ_R1[t]] - M[_ADJ_L2[t]] M[_ADJ_R2[t]],
-# the cofactor formulas of Mat3.inverse
-_ADJ_L1 = [4, 2, 1, 5, 0, 2, 3, 1, 0]
-_ADJ_R1 = [8, 7, 5, 6, 8, 3, 7, 6, 4]
-_ADJ_L2 = [5, 1, 2, 3, 2, 0, 4, 0, 1]
-_ADJ_R2 = [7, 8, 4, 8, 6, 5, 6, 7, 3]
-
-
 def adjugate_np(field: Field, a):
     """Row-wise adjugates of stacked matrices: adj(M) = det(M) M^-1."""
     minus_one = field.neg_index(field.one.index)
@@ -217,31 +220,18 @@ class CharPoly:
         return ((x + self.c2) * x + self.c1) * x + self.c0
 
 
-class HermitianForm:
-    """A non-degenerate matrix W with conj_transpose(W) = W."""
-
-    def __init__(self, matrix: Mat3):
-        if matrix.conj_transpose() != matrix:
-            raise ValueError("form matrix is not conjugate-symmetric")
-        if not matrix.det():
-            raise ValueError("form matrix is degenerate")
-        self.matrix = matrix
-        self.field = matrix.field
-
-
 @functools.lru_cache(maxsize=None)
-def standard_hermitian_form(field: Field) -> HermitianForm:
-    """The fixed form: ones on the anti-diagonal, used for both parities."""
-    w = Mat3.from_rows(field, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    return HermitianForm(w)
+def standard_hermitian_form(field: Field) -> Mat3:
+    """The fixed form W: ones on the anti-diagonal, used for both parities."""
+    return Mat3.from_rows(field, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
-def is_special_unitary(m: Mat3, form: HermitianForm | None = None) -> bool:
+def is_special_unitary(m: Mat3) -> bool:
     """True iff det(m) = 1 and conj_transpose(m) . W . m = W."""
-    form = form or standard_hermitian_form(m.field)
     if m.det() != m.field.one:
         return False
-    return m.conj_transpose() * form.matrix * m == form.matrix
+    w = standard_hermitian_form(m.field)
+    return m.conj_transpose() * w * m == w
 
 
 @functools.lru_cache(maxsize=None)

@@ -162,7 +162,7 @@ def test_witnesses_are_similitudes():
     """Returned conjugators must scale the Hermitian form."""
     F, cp, t = _pipeline(5, 1)
     one = F.one
-    w = standard_hermitian_form(F).matrix
+    w = standard_hermitian_form(F)
     q = TwistedConjugacyQuery(t.matrices, t.matrices, 0, (one, one, one))
     d = solve_twisted_conjugacy(q)
     prod = d.conj_transpose() * w * d

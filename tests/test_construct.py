@@ -5,8 +5,7 @@ import pytest
 from psu3grr.construct import (ConnectionSetError, ConstructionError,
                                ConstructionParams, UnsupportedQ, b_is_valid,
                                build_triple, charpoly_coeffs,
-                               check_conditions_even, check_conditions_odd,
-                               check_connection_set,
+                               check_conditions, check_connection_set,
                                condition_holds, count_valid_b,
                                elements_of_order, exponent_set, find_b,
                                require_supported, search_params)
@@ -92,8 +91,7 @@ def test_search_params_succeeds(p, f):
     assert cp.a_census >= 1
     target = F.q - 1 if cp.parity == "odd" else F.q + 1
     assert cp.a.order() == target
-    check = check_conditions_odd if cp.parity == "odd" else check_conditions_even
-    assert check(F, cp.a, cp.b, cp.exponent_set)
+    assert check_conditions(F, cp.parity, cp.a, cp.b, cp.exponent_set)
 
 
 def test_search_params_census_matches_exhaustive_scan():
@@ -102,7 +100,7 @@ def test_search_params_census_matches_exhaustive_scan():
     cp = search_params(F)
     I = exponent_set(F.f, "odd")
     census = sum(1 for a in elements_of_order(F, F.q - 1)
-                 if check_conditions_odd(F, a, cp.b, I))
+                 if check_conditions(F, "odd", a, cp.b, I))
     assert census == cp.a_census
 
 

@@ -220,6 +220,10 @@ def check_against_reference(F, pairs, elements):
         assert F.add_index(i, F.neg_index(i)) == 0
         if i:
             assert F.mul_index(i, F.inv_index(i)) == one
+    with pytest.raises(ZeroDivisionError):
+        F.inv_index(0)
+    with pytest.raises(ZeroDivisionError):
+        F.pow_index(0, -1)
     for i in elements:
         for e in (0, 1, 2, 5, -1, -2, -7, F.size, -F.size):
             assert F.pow_index(i, e) == ref.power(i, e), (i, e)
@@ -252,14 +256,22 @@ def test_log_tier_matches_polynomial_reference_sampled(p, f):
 
 @pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (7, 2), (2, 6)])
 def test_zech_table_has_one_empty_entry(p, f):
-    """1 + g^k = 0 only for g^k = -1, whose log is 0 (p = 2) or n/2."""
+    """The zero-padded layout: zero's log is 2n, exp reads 0 from 2n on,
+    and 1 + g^k = 0 only for g^k = -1, whose log is 0 (p = 2) or n/2."""
     F = field(p, f)
     n = F.size - 1
-    assert len(F._zech) == n and len(F._log) == F.size
-    assert [k for k, z in enumerate(F._zech) if z < 0] == [F._neg_log]
+    log, exp, zech = F._log, F._exp, F._zech
+    assert len(log) == F.size and len(exp) == len(zech) == 4 * n + 1
+    assert log[0] == 2 * n
+    assert sorted(exp[:n]) == list(range(1, F.size))
+    assert exp[n:2 * n] == exp[:n] and set(exp[2 * n:]) == {0}
+    # Z(k) = log(1 + g^k) sits at zech[k + 2n], and for k >= 1 at zech[k + n]
+    assert [k for k in range(n) if zech[k + 2 * n] == 2 * n] == [F._neg_log]
     assert F._neg_log == (0 if p == 2 else n // 2)
-    assert sorted(F._exp[:n]) == list(range(1, F.size))
-    assert F._exp[:n] == F._exp[n:]
+    assert zech[n + 1:2 * n] == zech[2 * n + 1:3 * n]
+    assert zech[:n] == list(range(-2 * n, -n)) and set(zech[3 * n:]) == {0}
+    assert log == F._log_arr.tolist() and exp == F._exp_arr.tolist()
+    assert zech == F._zech_arr.tolist()
 
 
 def _kernel_pairs(F):

@@ -13,8 +13,7 @@ from psu3grr.grouporder import (DegenerateActionError, IsotropicAction,
                                 OrderBoundExceeded, StabilizerChain,
                                 commutant_dimension,
                                 dihedral_image_order, expected_group_order,
-                                group_order, invariant_subspace_test,
-                                isotropic_points)
+                                group_order, invariant_subspace_test)
 from psu3grr.mat3 import Mat3, is_special_unitary, standard_hermitian_form
 
 
@@ -27,7 +26,7 @@ def _scanned_point_matrix(F):
     """Every normalized [0, 0, 1], [0, 1, x], [1, x, y] on which the form
     vanishes, by evaluating it at all of them; sorted by key."""
     add, mul = F.add_np, F.mul_np
-    w = standard_hermitian_form(F).matrix.flat_indices
+    w = standard_hermitian_form(F).flat_indices
     one = F.one.index
 
     def form(*v):
@@ -206,7 +205,7 @@ def _levels(chain):
 
 def _independent_isotropic_count(F):
     """Oracle: scan all normalized projective representatives directly."""
-    w = standard_hermitian_form(F).matrix
+    w = standard_hermitian_form(F)
     f = F.f
     def isotropic(v):
         total = F.zero
@@ -230,7 +229,7 @@ def _independent_isotropic_count(F):
 @pytest.mark.parametrize("p,f,expected", [(2, 2, 65), (5, 1, 126), (3, 1, 28)])
 def test_isotropic_point_counts(p, f, expected):
     F = field(p, f)
-    pts = isotropic_points(F)
+    pts = IsotropicAction(F).point_matrix
     assert len(pts) == expected == F.q ** 3 + 1
     assert _independent_isotropic_count(F) == expected
 
@@ -238,14 +237,13 @@ def test_isotropic_point_counts(p, f, expected):
 def test_basis_point_is_isotropic():
     """[1:0:0] pairs to zero with itself under the anti-diagonal form."""
     F = field(5, 1)
-    pts = isotropic_points(F)
-    one, zero = F.one, F.zero
-    assert (one, zero, zero) in [tuple(p) for p in pts]
+    pts = IsotropicAction(F).point_matrix.tolist()
+    assert [F.one.index, 0, 0] in pts
 
 
 def test_points_are_normalized_and_sorted():
     F = field(2, 2)
-    pts = [tuple(x.index for x in p) for p in isotropic_points(F)]
+    pts = [tuple(p) for p in IsotropicAction(F).point_matrix.tolist()]
     assert pts == sorted(pts)
     for p in pts:
         lead = next(x for x in p if x)
