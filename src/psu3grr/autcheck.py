@@ -36,7 +36,8 @@ import itertools
 from dataclasses import dataclass
 
 from .construct import (ConstructionParams, GeneratorTriple, TWISTED,
-                        EVEN_CONDITIONS, ODD_CONDITIONS, condition_holds)
+                        EVEN_CONDITIONS, ODD_CONDITIONS, charpoly_coeffs,
+                        separated)
 from .gf import FieldElem
 from .grouporder import PermGroupCertificate, expected_group_order
 from .linalg import nullspace
@@ -113,14 +114,15 @@ def fast_charpoly_check(cp: ConstructionParams) -> list[FastPathEntry]:
     fld = cp.field
     relevant = set(proof_twist_exponents(fld.f))
     conds = ODD_CONDITIONS if cp.parity == "odd" else EVEN_CONDITIONS
+    coeffs = charpoly_coeffs(fld, cp.parity, cp.a, cp.b)
     out = []
     for cond in conds:
         if cond in TWISTED:
             for i in range(2 * fld.f):
-                holds = condition_holds(fld, cp.parity, cond, cp.a, cp.b, i)
+                holds = separated(coeffs, cond, i)
                 out.append(FastPathEntry(cond, i, i in relevant, holds))
         else:
-            holds = condition_holds(fld, cp.parity, cond, cp.a, cp.b)
+            holds = separated(coeffs, cond)
             out.append(FastPathEntry(cond, None, True, holds))
     return out
 

@@ -1,23 +1,41 @@
 """Explicit construction and export of the cubic Cayley graph.
 
-Vertices are the elements of PSU3(q), realised as canonical coset keys: a
-matrix coset {c * M : c in the center of SU3(q)} is keyed by the
-lexicographically least flat index tuple among its members.  A breadth
-first closure from the identity under left multiplication by {X, Y, Z}
-enumerates the group deterministically (the identity coset gets index 0)
-and yields the undirected edges {g, sg} at the same time.
+Vertices are the elements of PSU3(q).  A breadth first closure from the
+identity under left multiplication by {X, Y, Z} enumerates the group
+deterministically (the identity gets index 0) and yields the undirected
+edges {g, sg} at the same time.
 
-The closure runs one BFS level at a time on numpy index arrays:
+Each element g is keyed by where it sends a projective frame.  The frame
+f1, ..., f4 is four points of `IsotropicAction.point_matrix`, no three
+collinear (`frame_points`), and the key of g is the point indices of
+g f1, ..., g f4, with g acting on column vectors.  The key identifies the
+element:
 
-* A level is an (F, 9) array of the field indices of one member of each
-  of its cosets.  The children s * g for s = X, Y, Z are formed with the
-  field's numpy kernels (`mul_np`, `add_np`), in (parent, generator)
-  order, parent-major.
-* Each coset is keyed by its least member, packed into one int64 in base
-  |GF(q^2)| with entry 0 most significant, so numeric order of keys is the
-  lexicographic order of flat index tuples.  Packing needs
-  |GF(q^2)|^9 = q^18 < 2^63, i.e. q <= 11; `check_graph_gate` refuses
-  larger q before any work.
+* SU3(q) meets the scalars exactly in its center, so PSU3(q) embeds in
+  PGL3(q^2): g and h are the same element of PSU3(q) exactly when h^-1 g
+  is scalar.
+* A matrix M that fixes the four frame points is scalar.  Write
+  f4 = a f1 + b f2 + c f3; a, b and c are nonzero because no three frame
+  points are collinear.  M fi = li fi for each i gives
+  a l1 f1 + b l2 f2 + c l3 f3 = l4 (a f1 + b f2 + c f3), so l1 = l2 = l3 = l4.
+* Hence g and h have the same key exactly when h^-1 g fixes the frame,
+  that is when they are the same vertex.  Center multiples share a key, so
+  no minimum over the center is taken.  Should a key ever collide all the
+  same, the closure finds fewer elements than |PSU3(q)|, and
+  `build_graph` raises.
+
+Left multiplication is then a gather: the column action preserves the
+isotropic points (s^H W s = W), and the point index of s v is P_s[index of
+v] for P_s = `IsotropicAction.permutation(s.transpose())`, since the row
+action v -> v s^T is the transpose of v -> s v.  So key(s g) = P_s[key(g)],
+four permutation gathers per child and no field arithmetic.  A key is packed
+into one int64 in base q^3 + 1, which holds for q <= 38.
+
+The closure runs one BFS level at a time on numpy arrays:
+
+* A level is a (4, F) array of the keys of its vertices.  The children
+  s * g for s = X, Y, Z are formed in (parent, generator) order,
+  parent-major.
 * A child is looked up only among the keys of the previous and the
   current level.  This finds every known vertex: X, Y and Z are
   involutions (checked by `construct.check_connection_set`), so g = s(sg) and
@@ -26,11 +44,18 @@ The closure runs one BFS level at a time on numpy index arrays:
   L - 1, L or L + 1.  The children not found there form level L + 1.
 * The new vertices are numbered in the order they first appear in the
   (parent, generator) sequence.  That is the numbering of the sequential
-  BFS (pop vertices in index order, try X, Y, Z, number each unseen coset
+  BFS (pop vertices in index order, try X, Y, Z, number each unseen element
   next): it numbers levels in turn, since a FIFO queue holds every vertex
   of level L before any of level L + 1, and within level L + 1 it numbers
   each vertex when it first appears as a child in that same sequence.  So
-  labels, edges and every export are the same as the sequential BFS's.
+  edges and every export are the same as the sequential BFS's.
+
+Each new vertex keeps the (parent, generator) pair it first appeared as,
+which makes a BFS tree.  The matrix labels (`CayleyGraph.labels`, the
+lexicographically least flat index tuple over the center multiples of a
+member) are derived from that tree only when asked for: the tree's products
+are replayed level by level with `matmul_np`.  Building, hashing and
+exporting a graph never form them.
 
 No per-vertex or per-edge Python object is made while building, hashing or
 exporting a graph: `CayleyGraph` holds index arrays, and exports are
@@ -46,16 +71,21 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from .construct import (ConnectionSetError, GeneratorTriple,
                         check_connection_set)
 from .gf import Field
-from .mat3 import Mat3, su3_center_scalars
+from .grouporder import IsotropicAction
+from .mat3 import Mat3, matmul_np, su3_center_scalars
 
 DEFAULT_MAX_VERTICES = 126000
-# Largest q whose coset keys fit in an int64: |GF(q^2)|^9 = q^18 < 2^63.
+# Largest q whose graph is built at all, even when allowed past the default
+# gate: |PSU3(13)| is about 8.1e8 vertices, whose edge array alone would take
+# some 19 GB.  It also keeps the packed matrix labels below 2^63
+# (|GF(q^2)|^9 = q^18).
 MAX_KEY_Q = 11
 # Numbers per chunk when an export is formatted or hashed.
 EXPORT_CHUNK = 1 << 16
@@ -65,30 +95,30 @@ class GraphSizeError(RuntimeError):
     """Graph refused by `check_graph_gate` before any work."""
 
 
+def _pack(cols: np.ndarray, base: int) -> np.ndarray:
+    """One int64 per column of a (k, F) digit array, row 0 most significant."""
+    out = cols[0].astype(np.int64)
+    for row in cols[1:]:
+        out *= base
+        out += row
+    return out
+
+
 class _CosetKeys:
     """Packs the least member of each coset of a column of flat indices."""
 
     def __init__(self, field: Field):
         self.size = field.size
         elements = np.arange(field.size)
-        # int32, the dtype of the level arrays, so that each gathered (9, F)
-        # copy is half the size of an int64 one
-        self.scalar_rows = [field.mul_np(c.index, elements).astype(np.int32)
+        self.scalar_rows = [field.mul_np(c.index, elements)
                             for c in su3_center_scalars(field)
                             if c != field.one]
 
-    def _pack(self, cols: np.ndarray) -> np.ndarray:
-        key = cols[0].astype(np.int64)
-        for col in cols[1:]:
-            key *= self.size
-            key += col
-        return key
-
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         """Keys of the (9, F) matrices given column-wise."""
-        keys = self._pack(cols)
+        keys = _pack(cols, self.size)
         for scalar in self.scalar_rows:
-            np.minimum(keys, self._pack(scalar.take(cols)), out=keys)
+            np.minimum(keys, _pack(scalar.take(cols), self.size), out=keys)
         return keys
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
@@ -99,25 +129,60 @@ class _CosetKeys:
         return rows
 
 
-def _left_mul(field: Field, s, cols: np.ndarray) -> np.ndarray:
-    """s * g for every matrix g of a (9, F) array given column-wise."""
-    add, elements = field.add_np, np.arange(field.size)
-    out = np.empty_like(cols)
-    for i in range(3):
-        # the products by s's entries, as rows over the field
-        r0, r1, r2 = (field.mul_np(e, elements) for e in s[3 * i:3 * i + 3])
-        for j in range(3):
-            out[3 * i + j] = add(add(r0.take(cols[j]), r1.take(cols[3 + j])),
-                                 r2.take(cols[6 + j]))
-    return out
+def frame_points(action: IsotropicAction) -> tuple[int, ...]:
+    """The first four isotropic points, in point order, no three collinear.
+
+    Each point is taken greedily unless it lies on a line through two points
+    already taken.  One always exists: a line holds at most q + 1 isotropic
+    points, and three lines miss some of the q^3 + 1.
+    """
+    fld = action.field
+    rows = action.point_matrix.tolist()
+    frame: list[int] = []
+    for i, row in enumerate(rows):
+        if all(Mat3.from_flat_indices(fld, rows[j] + rows[k] + row).det()
+               for j, k in combinations(frame, 2)):
+            frame.append(i)
+            if len(frame) == 4:
+                return tuple(frame)
+    raise AssertionError("no projective frame among the isotropic points")
+
+
+def _tree_labels(t: GeneratorTriple, tree: np.ndarray) -> np.ndarray:
+    """(n, 9) coset keys of the vertices, replayed from the BFS tree.
+
+    Vertex v > 0 is gens[tree[v - 1] % 3] times vertex tree[v - 1] // 3.
+    Parents precede their children and tree is nondecreasing, so one level
+    is every vertex whose parent already has its matrix.
+    """
+    field = t.field
+    gens = np.array([m.flat_indices for m in t.matrices], dtype=np.int64)
+    parent, gen = np.divmod(tree, len(gens))
+    mats = np.empty((len(tree) + 1, 9), dtype=np.int64)
+    mats[0] = Mat3.identity(field).flat_indices
+    lo = 1
+    while lo < len(mats):
+        hi = 1 + np.searchsorted(parent, lo)
+        mats[lo:hi] = matmul_np(field, gens[gen[lo - 1:hi - 1]],
+                                mats[parent[lo - 1:hi - 1]])
+        lo = hi
+    coset_key = _CosetKeys(field)
+    return coset_key.unpack(coset_key(mats.T))
 
 
 @dataclass
 class CayleyGraph:
     vertex_count: int
     edges: np.ndarray   # (m, 2): u < v in each row, rows sorted
-    labels: np.ndarray  # (n, 9): vertex -> canonical coset key
-    field: Field
+    triple: GeneratorTriple
+    # (n - 1,): vertex v > 0 first appeared as the child of parent
+    # tree[v - 1] // 3 under generator tree[v - 1] % 3
+    tree: np.ndarray
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """(n, 9): vertex -> canonical coset key (flat index tuple)."""
+        return _tree_labels(self.triple, self.tree)
 
     @cached_property
     def key_index(self) -> dict:
@@ -126,12 +191,13 @@ class CayleyGraph:
 
     def mul_index(self, i: int, j: int) -> int:
         """Index of the product of vertices i and j (group multiplication)."""
-        a, b = (Mat3.from_flat_indices(self.field, self.labels[k].tolist())
+        field = self.triple.field
+        a, b = (Mat3.from_flat_indices(field, self.labels[k].tolist())
                 for k in (i, j))
         prod = a * b
         # the coset key is the least flat index tuple over center multiples
         return self.key_index[min(prod.scalar_mul(c).flat_indices
-                                  for c in su3_center_scalars(self.field))]
+                                  for c in su3_center_scalars(field))]
 
 
 def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
@@ -143,31 +209,27 @@ def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
             "(CLI: --allow-large-graph) to build it anyway")
     if field.q > MAX_KEY_Q:
         raise GraphSizeError(
-            f"q = {field.q}: the graph packs each coset key into an int64, "
-            f"which needs |GF(q^2)|^9 < 2^63, i.e. q <= {MAX_KEY_Q}")
+            f"q = {field.q}: |PSU3({field.q})| = {expected_order} vertices "
+            f"do not fit in memory; graphs are built for q <= {MAX_KEY_Q} "
+            "only")
 
 
-def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
-    """(labels, edges) of the level-synchronous closure; see the module doc."""
-    field = t.field
-    check_graph_gate(field, expected_order, allow_large)
-    check_connection_set(t.matrices)
-    coset_key = _CosetKeys(field)
-    gens = [m.flat_indices for m in t.matrices]
-    ident = Mat3.identity(field).flat_indices
-    frontier = np.array(ident, dtype=np.int32)[:, None]  # (9, F)
-    level_keys = coset_key(frontier)
+def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
+    """(edges, tree) of the level-synchronous closure; see the module doc."""
+    perms = [action.permutation(s.transpose()) for s in t.matrices]
+    frontier = np.array(frame_points(action), dtype=perms[0].dtype)[:, None]
+    level_keys = _pack(frontier, action.degree)
     prev_keys = level_keys[:0]
-    key_levels = [level_keys]
     edge_levels = []
+    tree_levels = []
     start = 0  # index of the first vertex of the current level
     n = 1
     while frontier.shape[1]:
         # columns in (parent, generator) order, parent-major
-        children = np.stack([_left_mul(field, s, frontier) for s in gens],
-                            axis=2).reshape(9, -1)
-        keys = coset_key(children)
-        parents = np.repeat(np.arange(start, n), len(gens))
+        children = np.stack([perm.take(frontier) for perm in perms],
+                            axis=2).reshape(4, -1)
+        keys = _pack(children, action.degree)
+        parents = np.repeat(np.arange(start, n), len(perms))
         # look each child up among the previous and the current level
         known = np.concatenate([prev_keys, level_keys])
         order = np.argsort(known)
@@ -175,7 +237,7 @@ def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
         found = known[order[pos]] == keys
         idx = np.empty(len(keys), dtype=np.int64)
         idx[found] = start - len(prev_keys) + order[pos[found]]
-        # number the new cosets by first appearance
+        # number the new vertices by first appearance
         new = np.flatnonzero(~found)
         new_keys, first, inverse = np.unique(
             keys[new], return_index=True, return_inverse=True)
@@ -185,11 +247,17 @@ def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
         idx[new] = number[inverse]
         if np.any(idx == parents):
             raise ConnectionSetError("loop edge: a generator fixes a coset")
-        edge_levels.append(np.minimum(parents, idx) << 32
-                           | np.maximum(parents, idx))
+        # each edge {g, sg} is found from both ends, since every vertex is
+        # a parent once: keep it at its smaller end.  It is found there only
+        # once, as check_connection_set rejects generators that coincide in
+        # PSU3(q).
+        up = parents < idx
+        edge_levels.append(parents[up] << 32 | idx[up])
+        # the (parent, generator) column each new vertex first appeared in
+        columns = new[first[by_first]]
+        tree_levels.append(len(perms) * start + columns)
         prev_keys, level_keys = level_keys, new_keys[by_first]
-        key_levels.append(level_keys)
-        frontier = children[:, new[first[by_first]]]
+        frontier = children[:, columns]
         start, n = n, n + len(new_keys)
         if n > expected_order:
             break
@@ -197,23 +265,22 @@ def _bfs(t: GeneratorTriple, expected_order: int, allow_large: bool):
         raise RuntimeError(
             f"group closure found {n} elements, certificate says "
             f"{expected_order}")
-    labels = coset_key.unpack(np.concatenate(key_levels))
-    # each edge {g, sg} is found from both ends: keep one copy, sorted
     packed = np.sort(np.concatenate(edge_levels))
-    packed = packed[np.append(True, packed[1:] != packed[:-1])]
     edges = np.stack([packed >> 32, packed & 0xFFFFFFFF], axis=1)
-    return labels, edges
+    return edges, np.concatenate(tree_levels)
 
 
 def build_graph(t: GeneratorTriple, expected_order: int,
                 allow_large: bool = False) -> CayleyGraph:
-    labels, edges = _bfs(t, expected_order, allow_large)
-    n = len(labels)
+    check_graph_gate(t.field, expected_order, allow_large)
+    check_connection_set(t.matrices)
+    edges, tree = _bfs(t, IsotropicAction(t.field), expected_order)
+    n = len(tree) + 1
     if len(edges) * 2 != 3 * n:
         raise RuntimeError(f"edge count {len(edges)} != 3n/2")
     if np.any(np.bincount(edges.ravel(), minlength=n) != 3):
         raise RuntimeError("graph is not 3-regular")
-    return CayleyGraph(n, edges, labels, t.field)
+    return CayleyGraph(n, edges, t, tree)
 
 
 def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:

@@ -169,9 +169,15 @@ def charpoly_coeffs(field: Field, parity: str, a: FieldElem,
 def condition_holds(field: Field, parity: str, cond: str, a: FieldElem,
                     b: FieldElem, i: int | None = None) -> bool:
     """Evaluate one separation condition, twisting by p^i where applicable."""
-    coeffs = charpoly_coeffs(field, parity, a, b)
+    return separated(charpoly_coeffs(field, parity, a, b), cond, i)
+
+
+def separated(coeffs: dict[str, FieldElem], cond: str,
+              i: int | None = None) -> bool:
+    """One separation condition on precomputed `charpoly_coeffs`, twisting
+    by p^i where applicable."""
     if cond == "trace-nonzero":
-        return bool(a + a.inv() + field.one)
+        return bool(coeffs["zy"])  # a + a^-1 + 1 (even parity only)
     left_key, right_key = cond.split("-")
     left, right = coeffs[left_key], coeffs[right_key]
     if cond in TWISTED:
@@ -183,8 +189,9 @@ def check_conditions(field: Field, parity: str, a: FieldElem, b: FieldElem,
                      exponents) -> bool:
     """Every separation condition of the parity, each twisted condition at
     every exponent of the set."""
+    coeffs = charpoly_coeffs(field, parity, a, b)
     conds = ODD_CONDITIONS if parity == "odd" else EVEN_CONDITIONS
-    return all(condition_holds(field, parity, cond, a, b, i)
+    return all(separated(coeffs, cond, i)
                for cond in conds
                for i in (exponents if cond in TWISTED else (None,)))
 

@@ -1,18 +1,21 @@
 """Cayley graph construction, export, and structural invariants."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from psu3grr import cayley
 from psu3grr.cayley import (MAX_KEY_Q, CayleyGraph, ConnectionSetError,
                             GraphSizeError, build_graph, check_graph_gate,
-                            edge_list_sha256, export_graph,
+                            edge_list_sha256, export_graph, frame_points,
                             import_edge_list)
+from psu3grr.cli import RunConfig, run_certify
 from psu3grr.construct import GeneratorTriple, build_triple, search_params
-from psu3grr.gf import field
-from psu3grr.grouporder import expected_group_order
-from psu3grr.mat3 import Mat3, su3_center_scalars
+from psu3grr.gf import FieldElem, field
+from psu3grr.grouporder import IsotropicAction, expected_group_order
+from psu3grr.mat3 import Mat3, standard_hermitian_form, su3_center_scalars
 
 
 def _graph(p, f, **kw):
@@ -22,10 +25,9 @@ def _graph(p, f, **kw):
 
 
 def _toy(n, edges):
-    F = field(5, 1)
-    labels = np.arange(n)[:, None].repeat(9, axis=1)
+    # exports read the edges alone: no triple, no BFS tree
     return CayleyGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
-                       labels, F)
+                       None, None)
 
 
 def test_toy_export_format():
@@ -141,7 +143,8 @@ def test_connection_set_violations_are_rejected():
 
 
 def test_key_packing_limit_refuses_large_q():
-    # q = 13 would need 169^9 >= 2^63 for its coset keys (and 8e8 vertices)
+    # q = 13 has 8.1e8 vertices, past memory (and 169^9 >= 2^63 would
+    # overflow the packed matrix labels)
     F = field(13, 1)
     t = build_triple(search_params(F))
     with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
@@ -151,6 +154,50 @@ def test_key_packing_limit_refuses_large_q():
     F11 = field(11, 1)
     assert F11.size ** 9 < 2 ** 63 <= F.size ** 9
     check_graph_gate(F11, expected_group_order(11), allow_large=True)
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1)])
+def test_frame_points_are_isotropic_and_in_general_position(p, f):
+    F = field(p, f)
+    W = standard_hermitian_form(F)
+    action = IsotropicAction(F)
+    frame = [[FieldElem(F, i) for i in action.point_matrix[k]]
+             for k in frame_points(action)]
+    assert len(frame) == 4
+    for v in frame:
+        conj = [x.frobenius(F.f) for x in v]
+        assert sum((conj[i] * W.entry(i, j) * v[j]
+                    for i in range(3) for j in range(3)), F.zero).is_zero()
+    for rows in combinations(frame, 3):
+        assert not Mat3(F, rows).det().is_zero()
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
+def test_transposed_permutation_is_column_action(p, f):
+    """P_s = permutation(s^T) sends point v to s v, checked point by point
+    with scalar matrix arithmetic."""
+    F = field(p, f)
+    action = IsotropicAction(F)
+    points = [[FieldElem(F, i) for i in row]
+              for row in action.point_matrix.tolist()]
+    index = {tuple(x.index for x in v): k for k, v in enumerate(points)}
+    for s in build_triple(search_params(F)).matrices:
+        perm = action.permutation(s.transpose())
+        for k, v in enumerate(points):
+            w = [sum((s.entry(i, j) * v[j] for j in range(3)), F.zero)
+                 for i in range(3)]
+            lead = next(x for x in w if not x.is_zero()).inv()
+            assert perm[k] == index[tuple((x * lead).index for x in w)]
+
+
+def test_certify_graph_never_builds_matrix_labels(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix labels built during certify")
+    monkeypatch.setattr(cayley, "_tree_labels", refuse)
+    cert, code = run_certify(RunConfig(5, 1, stages=("graph",)))
+    assert cert["stages"]["graph"]["status"] == "pass"
+    assert cert["stages"]["graph"]["vertices"] == 126000
 
 
 # ---------------------------------------------------------------------------
