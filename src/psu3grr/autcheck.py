@@ -15,11 +15,12 @@ invertible similitudes.  Any witness found is re-verified by direct
 multiplication before being reported.
 
 The systems are built and row-reduced on field element indices (see
-linalg), from the Frobenius twists of X, Y, Z computed once per twist
-exponent.  Rows are made on demand and the elimination stops once the rank
-is 9: the only solution is then D = 0, which is not invertible, so the
-query has no conjugator.  That is the answer for every query of a GRR
-triple, and most of them need only the first nine rows.
+linalg), many queries' systems in one stack, from the Frobenius twists of
+X, Y, Z, the permuted targets and the centre scalars.  They are reduced
+one 9-row block at a time, and a system stops once its rank is 9: the
+only solution is then D = 0, which is not invertible, so the query has no
+conjugator (see _rank_deficient).  That is the answer for every query of
+a GRR triple; only a rank-deficient query has its nullspace scanned.
 
 A fast path re-evaluates the characteristic-polynomial separation
 conditions of the construction at the twist exponents an automorphism of
@@ -31,23 +32,31 @@ the verdict.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .construct import (ConstructionParams, GeneratorTriple, TWISTED,
                         EVEN_CONDITIONS, ODD_CONDITIONS, charpoly_coeffs,
                         separated)
 from .gf import FieldElem
 from .grouporder import PermGroupCertificate, expected_group_order
-from .linalg import nullspace
-from .mat3 import Mat3, standard_hermitian_form, su3_center_scalars
+from .linalg import nullspace, rref_np
+from .mat3 import (Mat3, intertwiner_np, standard_hermitian_form,
+                   su3_center_scalars)
 
 # candidate lines scanned per nullspace before giving up (never reached at
 # the field sizes this package certifies)
 LINE_ENUM_LIMIT = 2_000_000
 
 NONTRIVIAL_PERMS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+# queries of the aut sweep reduced in one stack.  It bounds the transient
+# arrays of the elimination (a few of up to Q x 18 x 9 int64), and a sweep
+# of at most this many queries (q = 13: 10, q = 16: 40) is a single stack,
+# so it pays the per-call cost of the elimination's numpy passes once
+SWEEP_STACK = 128
 
 
 class PreconditionUnmet(RuntimeError):
@@ -164,38 +173,19 @@ def _is_form_similitude(d: Mat3) -> bool:
     return prod == w.scalar_mul(c)
 
 
-@functools.lru_cache(maxsize=64)
-def _twisted_indices(source: tuple[Mat3, ...], twist: int):
-    """Flat entry indices of each A^(phi^twist), A in source.
-
-    Cached, so a sweep computes the Frobenius twists of X, Y, Z once per
-    twist exponent instead of once per query.
-    """
-    return tuple(a.frobenius(twist).flat_indices for a in source)
-
-
 def intertwiner_rows(query: TwistedConjugacyQuery):
-    """Yield the rows of A'_k D - c_k D B_k = 0, as element indices.
+    """The 27 x 9 index array of the equations A'_k D - c_k D B_k = 0.
 
-    One row per (k, u, v), over the nine unknowns D_{wv} (column 3w + v):
-    (A' D)_{uv} has coefficient A'_{uw} at D_{wv}, and (D B)_{uv} has
-    coefficient B_{wv} at D_{uw}.  Rows are made as the elimination asks
-    for them, so the rows after the system reaches full rank are never
-    built.
+    Rows 9k .. 9k + 8 (k = 0, 1, 2) are block k, made by mat3.intertwiner_np
+    from A'_k = A_k^(phi^twist), B_k and c_k; column 3w + v is the unknown
+    D_wv.
     """
     fld = query.source[0].field
-    add, mul, neg = fld.add_index, fld.mul_index, fld.neg_index
-    twisted = _twisted_indices(query.source, query.twist)
-    for at, b, c in zip(twisted, query.target, query.scalars):
-        ncb = [neg(mul(c.index, x)) for x in b.flat_indices]
-        for u in range(3):
-            for v in range(3):
-                row = [0] * 9
-                for w in range(3):
-                    row[3 * w + v] = at[3 * u + w]
-                for w in range(3):
-                    row[3 * u + w] = add(row[3 * u + w], ncb[3 * w + v])
-                yield row
+    twisted = [a.frobenius(query.twist).flat_indices for a in query.source]
+    target = [b.flat_indices for b in query.target]
+    scalars = [c.index for c in query.scalars]
+    return intertwiner_np(fld, np.array(twisted), np.array(target),
+                          np.array(scalars)).reshape(-1, 9)
 
 
 def solve_twisted_conjugacy(query: TwistedConjugacyQuery) -> Mat3 | None:
@@ -225,6 +215,55 @@ def solve_twisted_conjugacy(query: TwistedConjugacyQuery) -> Mat3 | None:
     return None
 
 
+def _rank_deficient(source, centers) -> np.ndarray:
+    """Positions in the sweep of the queries whose system has rank below 9.
+
+    The sweep runs over NONTRIVIAL_PERMS, then the twists i in 0..2f-1,
+    then itertools.product(centers, repeat=3), as aut_group_trivial does.
+    Block k of the system of (perm, i, scalars) is A_k^(phi^i) (x) I -
+    c_k I (x) B_k^T with B = source permuted (mat3.intertwiner_np), one of
+    5 x 2f x |centers| blocks made for each k from the twists of A_k, the
+    permuted targets and the centre scalars.
+
+    The queries are reduced SWEEP_STACK at a time.  The blocks are reduced
+    one at a time, each stacked under the reduced basis of the blocks
+    before it, and only for the queries still below rank 9.  The reduced
+    echelon form of a row space is unique, so reducing the rows in stages,
+    or in one stack with other systems, gives the basis that reducing them
+    all at once would.  Stopping at rank 9 is sound: a basis of rank 9
+    spans all of GF(q^2)^9, which contains every later row, so no later
+    block can change the row space, and the only solution is D = 0, which
+    is not invertible.  Every system of a GRR triple's sweep stops there;
+    at q = 5, 8, 11 and 32, two thirds of them after the first block and
+    eight ninths after the second.
+    """
+    fld = source[0].field
+    twists = np.array([[a.frobenius(i).flat_indices for a in source]
+                       for i in range(2 * fld.f)])
+    targets = np.array([[source[j].flat_indices for j in perm]
+                        for perm in NONTRIVIAL_PERMS])
+    scalars = np.array([c.index for c in centers])
+    combos = np.array(list(itertools.product(range(len(centers)), repeat=3)))
+    blocks = [intertwiner_np(fld, twists[None, :, None, k],
+                             targets[:, None, None, k], scalars)
+              for k in range(3)]
+    shape = (len(targets), len(twists), len(combos))
+    total = len(targets) * len(twists) * len(combos)
+    deficient = []
+    for start in range(0, total, SWEEP_STACK):
+        live = np.arange(start, min(start + SWEEP_STACK, total))
+        basis = np.zeros((len(live), 0, 9), dtype=np.int64)
+        for k in range(3):
+            perm, twist, combo = np.unravel_index(live, shape)
+            block = blocks[k][perm, twist, combos[combo, k]]
+            reduced, rank = rref_np(np.concatenate([basis, block], axis=1),
+                                    fld)
+            keep = rank < 9
+            live, basis = live[keep], reduced[keep, :9]
+        deficient.append(live)
+    return np.concatenate(deficient)
+
+
 def aut_group_trivial(t: GeneratorTriple,
                       generation: PermGroupCertificate | None) -> AutCertificate:
     """Sweep all 5 x 2f x gcd(3,q+1)^3 twisted-conjugacy queries.
@@ -233,6 +272,10 @@ def aut_group_trivial(t: GeneratorTriple,
     "nontrivial" verdict is immediate (the witness is returned and has been
     re-verified); soundness of "trivial" additionally needs the triple to
     generate, which is why a matching generation certificate is required.
+
+    The systems of the sweep are reduced in stacks (_rank_deficient); a
+    query whose system has full rank 9 has no conjugator, and only the
+    others go to solve_twisted_conjugacy.
     """
     fld = t.field
     expected = expected_group_order(fld.q)
@@ -242,21 +285,26 @@ def aut_group_trivial(t: GeneratorTriple,
             f"order {expected}")
     mats = t.matrices
     centers = su3_center_scalars(fld)
+    names = [c.to_str() for c in centers]
     cert = AutCertificate(fast_path=fast_charpoly_check(t.params),
                           oracle_path=[], verdict="trivial")
-    for perm in NONTRIVIAL_PERMS:
-        target_base = tuple(mats[perm[k]] for k in range(3))
-        for i in range(2 * fld.f):
-            for scalars in itertools.product(centers, repeat=3):
-                query = TwistedConjugacyQuery(mats, target_base, i, scalars)
-                witness = solve_twisted_conjugacy(query)
-                entry = OracleEntry(perm, i,
-                                    tuple(s.to_str() for s in scalars),
-                                    witness is not None)
-                cert.oracle_path.append(entry)
-                cert.queries += 1
-                if witness is not None and cert.witness is None:
-                    cert.verdict = "nontrivial"
-                    cert.witness = witness
-                    cert.witness_query = entry
+    deficient = set(_rank_deficient(mats, centers).tolist())
+    queries = itertools.product(
+        NONTRIVIAL_PERMS, range(2 * fld.f),
+        itertools.product(range(len(centers)), repeat=3))
+    for n, (perm, i, js) in enumerate(queries):
+        witness = None
+        if n in deficient:
+            target = tuple(mats[j] for j in perm)
+            scalars = tuple(centers[j] for j in js)
+            query = TwistedConjugacyQuery(mats, target, i, scalars)
+            witness = solve_twisted_conjugacy(query)
+        entry = OracleEntry(perm, i, tuple(names[j] for j in js),
+                            witness is not None)
+        cert.oracle_path.append(entry)
+        cert.queries += 1
+        if witness is not None and cert.witness is None:
+            cert.verdict = "nontrivial"
+            cert.witness = witness
+            cert.witness_query = entry
     return cert

@@ -365,6 +365,10 @@ class Field:
             return 0
         return self._exp[self._log[i] * e % self._mult_order]
 
+    def exp_index(self, k):
+        """Index of g^k, g the generator the log tables are built on."""
+        return self._exp[k % self._mult_order]
+
     def frob_index(self, i, e):
         """Index of x^(p^e) for x of index i."""
         return self.pow_index(i, self.p ** (e % self.ext_degree))

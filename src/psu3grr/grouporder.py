@@ -44,8 +44,9 @@ import numpy as np
 
 from .construct import GeneratorTriple
 from .gf import Field, FieldElem
-from .linalg import nullspace
-from .mat3 import Mat3, adjugate_np, is_special_unitary, matmul_np
+from .linalg import nullspace, rref_np
+from .mat3 import (Mat3, adjugate_np, intertwiner_np, is_special_unitary,
+                   matmul_np)
 
 # Schreier pairs that _drain sifts together against one chain
 SIFT_BATCH = 512
@@ -537,17 +538,12 @@ def commutant_dimension(t: GeneratorTriple) -> int:
 
 
 def commutant_dimension_of(mats, field: Field) -> int:
-    add, neg = field.add_index, field.neg_index
-    rows = []
-    for m in mats:
-        e = m.flat_indices
-        for i in range(3):
-            for j in range(3):
-                row = [0] * 9
-                for k in range(3):
-                    # (DM)_{ij}: coeff of D_{ik} is M_{kj}
-                    row[3 * i + k] = add(row[3 * i + k], e[3 * k + j])
-                    # (MD)_{ij}: coeff of D_{kj} is M_{ik}
-                    row[3 * k + j] = add(row[3 * k + j], neg(e[3 * i + k]))
-                rows.append(row)
-    return len(nullspace(rows, 9, field))
+    """Dimension of {D : M D = D M for every M in mats}.
+
+    The equations M D - D M = 0 are the intertwiner blocks of each M with
+    itself, at the scalar 1 (mat3.intertwiner_np).
+    """
+    flat = np.array([m.flat_indices for m in mats])
+    system = intertwiner_np(field, flat, flat, field.one.index)
+    _, rank = rref_np(system.reshape(1, -1, 9), field)
+    return 9 - int(rank[0])

@@ -1,71 +1,79 @@
-"""Exact Gaussian elimination over GF(q^2), on field element indices.
+"""Exact Gauss-Jordan elimination over GF(q^2), on field element indices.
 
 Small dense systems only: the package never solves anything bigger than the
-27-equation, 9-unknown intertwiner systems.  Rows are lists of element
-indices and every operation goes through the field's index arithmetic
-(add_index, mul_index, neg_index, inv_index), so no FieldElem is made
-while reducing.
-
-Rows are inserted one at a time into a fully reduced echelon basis, and
-insertion stops as soon as the rank equals the number of columns.  This
-early stop is sound: a basis of rank ncols spans all of GF(q^2)^ncols,
-which contains every later row, so no later row can change the row space,
-nor therefore its (unique) reduced echelon form, and the nullspace is {0}.
-Every intertwiner system of a GRR triple's aut sweep has full rank 9; at
-q = 5 and 8, two thirds of them reach it after the first nine of their 27
-rows, and none needs more than 21.
+27-equation, 9-unknown intertwiner systems, but it solves many of them.
+One kernel, rref_np, reduces a whole stack of systems at once: a (Q, R, C)
+array of element indices, one pass per column, each pass a few numpy
+operations on the whole stack through the field's kernels (add_np, mul_np,
+inv_np).  No FieldElem is made and no Python loop runs over rows or
+systems while reducing.  rref and nullspace serve a single system as a
+stack of one.
 """
 
 from __future__ import annotations
 
-import bisect
-from collections.abc import Iterable
+import numpy as np
 
 from .gf import Field, FieldElem
 
 
-def rref(rows: Iterable[list[int]], ncols: int, field: Field):
+def rref_np(systems, field: Field):
+    """Reduced row echelon forms of a stack of systems.
+
+    systems is a (Q, R, C) integer array of element indices and is not
+    modified.  Returns (reduced, rank): reduced[s, :rank[s]] is the reduced
+    echelon basis of the row space of system s, a 1 in each pivot column
+    and 0 in the other pivot columns, pivots ascending; reduced[s, rank[s]:]
+    is zero.  The reduced row echelon form of a row space is unique, so the
+    result for one system depends neither on the order of its rows nor on
+    the other systems of the stack.
+
+    Column c is one pass over the stack.  In each system the pivot is the
+    first row at or below rank[s] with a nonzero entry in column c (argmax
+    of a mask); it is swapped up to row rank[s] and scaled to 1, and column
+    c is cleared from every other row.  The rows at or below rank[s] are
+    zero in columns < c, so the pivot row is too, and only columns c.. are
+    updated.  A system with no pivot in column c is left as it is.
+    """
+    a = np.array(systems, dtype=np.int64)
+    nsys, nrows, ncols = a.shape
+    rank = np.zeros(nsys, dtype=np.int64)
+    if nrows == 0:
+        return a, rank
+    minus_one = field.neg_index(field.one.index)
+    sys_ix = np.arange(nsys)
+    row_ix = np.arange(nrows)
+    for c in range(ncols):
+        cand = (a[:, :, c] != 0) & (row_ix >= rank[:, None])
+        found = cand.any(axis=1)
+        at = np.minimum(rank, nrows - 1)
+        piv = np.where(found, cand.argmax(axis=1), at)
+        prow = a[sys_ix, piv, c:]
+        a[sys_ix, piv] = a[sys_ix, at]
+        # scale the pivot to 1; with no pivot, inv_np(0) = 0 zeroes prow
+        prow = field.mul_np(prow, field.inv_np(prow[:, 0])[:, None])
+        factor = np.where(found[:, None], a[:, :, c], 0)
+        a[:, :, c:] = field.add_np(a[:, :, c:], field.mul_np(
+            factor[:, :, None], field.mul_np(prow, minus_one)[:, None, :]))
+        a[sys_ix[found], at[found], c:] = prow[found]
+        rank += found
+    return a, rank
+
+
+def rref(rows, ncols: int, field: Field):
     """Reduced row echelon form of the row space of rows (index rows).
 
-    Returns (basis, pivots): basis[r] is a row of element indices with a 1
+    Returns (basis, pivots): basis[r] is a list of element indices with a 1
     in column pivots[r] and 0 in every other pivot column, and pivots is
-    ascending.  The reduced row echelon form of a row space is unique, so
-    the result does not depend on the order of the input rows.  The input
-    rows are not modified, and rows is read only up to the row that brings
-    the rank to ncols, so it may be a generator that makes rows on demand.
+    ascending.  rows is a sequence of ncols-long index rows, or an array.
     """
-    add, mul = field.add_index, field.mul_index
-    neg, inv = field.neg_index, field.inv_index
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        # reduce against the basis: clear every pivot column of the row
-        for b, pc in zip(basis, pivots):
-            x = row[pc]
-            if x:
-                nx = neg(x)
-                row = [add(y, mul(nx, z)) if z else y for y, z in zip(row, b)]
-        c = next((k for k, y in enumerate(row) if y), None)
-        if c is None:
-            continue
-        s = inv(row[c])
-        row = [mul(s, y) if y else 0 for y in row]
-        # clear the new pivot column from the basis rows
-        for r, b in enumerate(basis):
-            x = b[c]
-            if x:
-                nx = neg(x)
-                basis[r] = [add(z, mul(nx, y)) if y else z
-                            for z, y in zip(b, row)]
-        at = bisect.bisect(pivots, c)
-        basis.insert(at, row)
-        pivots.insert(at, c)
-        if len(pivots) == ncols:
-            break
-    return basis, pivots
+    a = np.asarray(rows, dtype=np.int64).reshape(1, -1, ncols)
+    reduced, rank = rref_np(a, field)
+    basis = reduced[0, :rank[0]]
+    return basis.tolist(), (basis != 0).argmax(axis=1).tolist()
 
 
-def nullspace(rows: Iterable[list[int]], ncols: int, field: Field):
+def nullspace(rows, ncols: int, field: Field):
     """Basis of the right nullspace {v : rows . v = 0} of index rows.
 
     Returns a list of ncols-tuples of FieldElem, one per free column, in

@@ -16,6 +16,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import Field, FieldElem
 
 
@@ -206,6 +208,29 @@ def adjugate_np(field: Field, a):
     return field.add_np(plus, minus)
 
 
+_EYE3 = np.eye(3, dtype=bool)
+
+
+def intertwiner_np(field: Field, a, b, c):
+    """Equations of A D - c D B = 0 in the nine entries of D, stacked.
+
+    a and b are (..., 9) arrays of row-major matrices and c an index array
+    broadcasting against their leading axes.  Returns the (..., 9, 9) index
+    array A (x) I - c I (x) B^T: row 3u + v is the equation for entry (u, v),
+    over the unknowns D_wv in column 3w + v, with A_uw at column 3w + v and
+    -c B_wv at column 3u + w.
+    """
+    a = np.asarray(a).reshape(np.shape(a)[:-1] + (3, 1, 3, 1))
+    minus_c = field.mul_np(c, field.neg_index(field.one.index))
+    ncb = field.mul_np(b, np.asarray(minus_c)[..., None])
+    ncb_t = np.swapaxes(ncb.reshape(ncb.shape[:-1] + (3, 3)), -1, -2)
+    # index order (u, v, w, v'): row 3u + v, column 3w + v'
+    left = np.where(_EYE3[None, :, None, :], a, 0)
+    right = np.where(_EYE3[:, None, :, None], ncb_t[..., None, :, None, :], 0)
+    out = field.add_np(left, right)
+    return out.reshape(out.shape[:-4] + (9, 9))
+
+
 @dataclass(frozen=True)
 class CharPoly:
     """Monic cubic det(lI - M) as its lower coefficients (c2, c1, c0)."""
@@ -239,12 +264,16 @@ def su3_center_scalars(field: Field) -> tuple[FieldElem, ...]:
     """Scalars c with c^3 = 1 and c^(q+1) = 1; exactly gcd(3, q+1) of them.
 
     These are the scalars of the center of SU3(q); projective identities
-    are always taken modulo this set.
+    are always taken modulo this set.  They form the subgroup of order
+    gcd(3, q + 1) of the cyclic group GF(q^2)*, of order q^2 - 1: {1}, or,
+    when 3 divides q + 1 (and so q^2 - 1), the elements of log 0,
+    (q^2 - 1)/3 and 2(q^2 - 1)/3.  Returned in index order.
     """
-    one = field.one
-    out = [c for c in field.nonzero_elements()
-           if c ** 3 == one and c ** (field.q + 1) == one]
-    return tuple(out)
+    if (field.q + 1) % 3:
+        return (field.one,)
+    third = (field.size - 1) // 3
+    return tuple(sorted(FieldElem(field, field.exp_index(k * third))
+                        for k in range(3)))
 
 
 def projectively_equal(m1: Mat3, m2: Mat3) -> bool:

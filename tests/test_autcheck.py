@@ -1,11 +1,12 @@
 """Twisted-conjugacy oracle and the automorphism-triviality sweep."""
 
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
 
-from psu3grr.autcheck import (AutCertificate, PreconditionUnmet,
+from psu3grr.autcheck import (AutCertificate, OracleEntry, PreconditionUnmet,
                               TwistedConjugacyQuery, aut_group_trivial,
                               fast_charpoly_check, proof_twist_exponents,
                               solve_twisted_conjugacy)
@@ -131,6 +132,26 @@ def test_degenerate_triple_has_nontrivial_symmetry():
     assert cert.verdict == "nontrivial"
     assert cert.witness is not None
     assert cert.witness_query.perm == (2, 1, 0)
+    # the first conjugator in sweep order, as the query-by-query sweep found
+    assert cert.witness.to_str() == "0,1 2,0 2,4;4,0 3,2 3,0;3,1 1,0 0,1"
+    assert cert.witness_query == OracleEntry((2, 1, 0), 0, ("1,0",) * 3, True)
+    assert [e.conjugator_found for e in cert.oracle_path].count(True) == 2
+
+
+def test_sweep_memory_is_bounded():
+    """The q = 8 sweep (810 queries) reduces its systems one permutation
+    and one block at a time, so its allocations stay small."""
+    F, cp, t = _pipeline(2, 3)
+    cert_g = group_order(t)
+    aut_group_trivial(t, cert_g)
+    tracemalloc.start()
+    try:
+        cert = aut_group_trivial(t, cert_g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.queries == 810 and cert.verdict == "trivial"
+    assert peak < 1.5 * 2 ** 20, peak
 
 
 def test_generation_certificate_is_required():

@@ -3,13 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from psu3grr.autcheck import (NONTRIVIAL_PERMS, TwistedConjugacyQuery,
-                              intertwiner_rows)
-from psu3grr.construct import build_triple, search_params
+                              _rank_deficient, intertwiner_rows)
+from psu3grr.construct import GeneratorTriple, build_triple, search_params
 from psu3grr.gf import field
-from psu3grr.linalg import nullspace, rref
+from psu3grr.linalg import nullspace, rref, rref_np
 from psu3grr.mat3 import su3_center_scalars
 
 
@@ -18,7 +19,7 @@ def _indices(rows):
 
 
 def _elems(rows, F):
-    return [[F.from_index(i) for i in row] for row in rows]
+    return [[F.from_index(int(i)) for i in row] for row in rows]
 
 
 # -- reference: plain Gauss-Jordan over FieldElem entries ---------------------
@@ -73,6 +74,7 @@ def _reference_nullspace(rows, ncols, field):
 
 def _assert_matches_reference(rows, ncols, F):
     """rref and nullspace of index rows equal the FieldElem reference."""
+    rows = [[int(i) for i in row] for row in rows]
     ref = _elems(rows, F)
     ref_pivots = _reference_rref(ref, F)
     basis, pivots = rref(rows, ncols, F)
@@ -134,55 +136,101 @@ def test_nullspace_known_kernel():
     assert (0, 0, F.one.index) in spans
 
 
-# -- the index-domain elimination against the reference --------------------------
+def _assert_stack_matches_reference(systems, F):
+    """One rref_np call on a (Q, R, C) stack equals the FieldElem reference
+    system by system: the basis rows, then zero rows."""
+    reduced, rank = rref_np(systems, F)
+    assert reduced.shape == systems.shape
+    for system, red, r in zip(systems, reduced, rank.tolist()):
+        ref = [row for row in _elems(system, F) if any(row)]
+        ref_pivots = _reference_rref(ref, F)
+        assert r == len(ref_pivots)
+        assert red[:r].tolist() == _indices(ref[:r])
+        assert not red[r:].any()
+    return rank
 
-def _sweep_queries(p, f):
-    """Every query of the aut sweep at q = p^f, in sweep order."""
-    t = build_triple(search_params(field(p, f)))
+
+# -- the stacked elimination against the reference -------------------------------
+
+def _sweep_queries(t):
+    """Every query of the aut sweep of triple t, in sweep order."""
     mats = t.matrices
     centers = su3_center_scalars(t.field)
     for perm in NONTRIVIAL_PERMS:
         target = tuple(mats[perm[k]] for k in range(3))
-        for i in range(2 * f):
+        for i in range(2 * t.field.f):
             for scalars in itertools.product(centers, repeat=3):
-                yield TwistedConjugacyQuery(mats, target, i, scalars)
+                yield TwistedConjugacyQuery(t.matrices, target, i, scalars)
 
 
 @pytest.mark.parametrize("p,f,count", [(5, 1, 270), (2, 3, 810)])
 def test_intertwiner_systems_match_reference(p, f, count):
+    """All the systems of a sweep, reduced in one stack."""
     F = field(p, f)
-    seen = 0
-    for query in _sweep_queries(p, f):
-        rows = list(intertwiner_rows(query))
-        assert len(rows) == 27
-        _assert_matches_reference(rows, 9, F)
-        seen += 1
-    assert seen == count
+    t = build_triple(search_params(F))
+    systems = np.array([intertwiner_rows(q) for q in _sweep_queries(t)])
+    assert systems.shape == (count, 27, 9)
+    rank = _assert_stack_matches_reference(systems, F)
+    assert (rank == 9).all()
+    _assert_matches_reference(systems[-1], 9, F)
+
+
+def _low_rank_rows(F, rng, nrows, ncols, k):
+    """nrows x ncols index rows of rank at most k: (nrows x k)(k x ncols)."""
+    elems = list(F.elements())
+    left = [[rng.choice(elems) for _ in range(k)] for _ in range(nrows)]
+    right = [[rng.choice(elems) for _ in range(ncols)] for _ in range(k)]
+    rows = []
+    for lrow in left:
+        row = []
+        for c in range(ncols):
+            acc = F.zero
+            for a, rr in zip(lrow, right):
+                acc = acc + a * rr[c]
+            row.append(acc.index)
+        rows.append(row)
+    return rows
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (7, 2)])
 def test_rank_deficient_systems_match_reference(p, f):
-    """Random products (n x k)(k x ncols) have rank at most k < ncols."""
+    """Stacks of ranks 0 to ncols, each system alone and all in one stack
+    (zero rows pad them to 27; they change no row space)."""
     F = field(p, f)
     rng = random.Random(4099 + F.size)
-    elems = list(F.elements())
-    for trial in range(40):
-        ncols = rng.choice((3, 5, 9))
-        k = rng.randrange(ncols)
-        nrows = rng.randrange(1, 28)
-        left = [[rng.choice(elems) for _ in range(k)] for _ in range(nrows)]
-        right = [[rng.choice(elems) for _ in range(ncols)] for _ in range(k)]
-        rows = []
-        for lrow in left:
-            row = []
-            for c in range(ncols):
-                acc = F.zero
-                for a, rr in zip(lrow, right):
-                    acc = acc + a * rr[c]
-                row.append(acc.index)
-            rows.append(row)
-        pivots = _assert_matches_reference(rows, ncols, F)
-        assert len(pivots) <= k
+    for ncols in (3, 5, 9):
+        systems = [[[0] * ncols] * 27]
+        for trial in range(15):
+            k = rng.randrange(ncols + 1)
+            nrows = rng.randrange(1, 28)
+            rows = _low_rank_rows(F, rng, nrows, ncols, k)
+            pivots = _assert_matches_reference(rows, ncols, F)
+            assert len(pivots) <= k
+            systems.append(rows + [[0] * ncols] * (27 - nrows))
+        systems.append(_low_rank_rows(F, rng, 27, ncols, ncols))
+        rank = _assert_stack_matches_reference(np.array(systems), F)
+        assert rank[0] == 0 and rank[-1] == ncols
+
+
+def _staged_and_full(t):
+    """Rank-deficient queries of the sweep, block-staged and from full
+    27-row reductions, as position sets in sweep order."""
+    staged = _rank_deficient(t.matrices, su3_center_scalars(t.field))
+    systems = np.array([intertwiner_rows(q) for q in _sweep_queries(t)])
+    _, rank = rref_np(systems, t.field)
+    return set(staged.tolist()), set(np.flatnonzero(rank < 9).tolist())
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 3), (2, 5)])
+def test_block_staging_matches_full_ranks(p, f):
+    """Staging by 9-row blocks finds exactly the systems whose full 27-row
+    rank is below 9: none for the GRR triple, some for z = x."""
+    cp = search_params(field(p, f))
+    t = build_triple(cp)
+    staged, full = _staged_and_full(t)
+    assert staged == full == set()
+    staged, full = _staged_and_full(GeneratorTriple(cp, t.X, t.Y, t.X))
+    assert staged == full and full
 
 
 def test_all_zero_system():
@@ -198,6 +246,8 @@ def test_all_zero_system():
 
 @pytest.mark.parametrize("p,f", [(5, 1), (7, 2)])
 def test_full_rank_stops_before_later_rows(p, f):
+    """Once some rows reach rank 9 their reduced form is the identity, and
+    later rows stacked under it change nothing: the aut sweep's stop."""
     F = field(p, f)
     rng = random.Random(97)
     rows = []
@@ -207,7 +257,10 @@ def test_full_rank_stops_before_later_rows(p, f):
     pivots = _assert_matches_reference(rows + extra, 9, F)
     assert pivots == list(range(9))
     assert nullspace(rows + extra, 9, F) == []
-    # rank 9 is reached on the last row of `rows`: nothing after it is read
-    basis, _ = rref(rows + [None], 9, F)
-    assert basis == [[F.one.index if i == j else 0 for i in range(9)]
-                     for j in range(9)]
+    identity = [[F.one.index if i == j else 0 for i in range(9)]
+                for j in range(9)]
+    basis, _ = rref(rows, 9, F)
+    assert basis == identity
+    reduced, rank = rref_np(np.array([basis + extra]), F)
+    assert rank.tolist() == [9]
+    assert reduced[0, :9].tolist() == identity and not reduced[0, 9:].any()

@@ -7,10 +7,10 @@ import pytest
 
 from psu3grr.construct import build_triple, search_params
 from psu3grr.gf import field
-from psu3grr.mat3 import (Mat3, adjugate_np, is_special_unitary,
-                          matmul_np, matrix_order, projective_order,
-                          projectively_equal, standard_hermitian_form,
-                          su3_center_scalars)
+from psu3grr.mat3 import (Mat3, adjugate_np, intertwiner_np,
+                          is_special_unitary, matmul_np, matrix_order,
+                          projective_order, projectively_equal,
+                          standard_hermitian_form, su3_center_scalars)
 
 
 def _random_matrix(F, rng):
@@ -76,6 +76,21 @@ def test_stacked_kernels_match_mat3(p, f):
         assert ma * adj == Mat3.identity(F).scalar_mul(ma.det())
         if ma.det():
             assert adj == ma.inverse().scalar_mul(ma.det())
+    # intertwiner_np maps vec(D) to vec(A D - c D B)
+    c = rng.integers(0, F.size, 200)
+    systems = intertwiner_np(F, a, b, c)
+    assert systems.shape == (200, 9, 9)
+    for k in range(0, len(a), 4):
+        ma = Mat3.from_flat_indices(F, a[k].tolist())
+        mb = Mat3.from_flat_indices(F, b[k].tolist())
+        md = Mat3.from_flat_indices(F, rng.integers(0, F.size, 9).tolist())
+        ck = F.from_index(int(c[k]))
+        want = [x - ck * y for x, y in zip((ma * md).e, (md * mb).e)]
+        for row, w in zip(systems[k].tolist(), want):
+            acc = F.zero
+            for x, y in zip(row, md.e):
+                acc = acc + F.from_index(x) * y
+            assert acc == w
 
 
 def test_conj_transpose_is_involution():
@@ -152,6 +167,18 @@ def test_center_scalars_counts():
     assert len(su3_center_scalars(field(5, 1))) == 3
     assert len(su3_center_scalars(field(2, 2))) == 1
     assert len(su3_center_scalars(field(2, 3))) == 3
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (2, 4), (5, 2), (2, 5), (2, 10)])
+def test_center_scalars_match_scan(p, f):
+    """The closed form equals the scan of every field element, in index
+    order (the order fixes the aut sweep's oracle_path)."""
+    F = field(p, f)
+    one = F.one.index
+    scan = [i for i in range(1, F.size)
+            if F.pow_index(i, 3) == one and F.pow_index(i, F.q + 1) == one]
+    assert [c.index for c in su3_center_scalars(F)] == scan
 
 
 def test_projectively_equal():
