@@ -50,16 +50,9 @@ The closure runs one BFS level at a time on numpy arrays:
   each vertex when it first appears as a child in that same sequence.  So
   edges and every export are the same as the sequential BFS's.
 
-Each new vertex keeps the (parent, generator) pair it first appeared as,
-which makes a BFS tree.  The matrix labels (`CayleyGraph.labels`, the
-lexicographically least flat index tuple over the center multiples of a
-member) are derived from that tree only when asked for: the tree's products
-are replayed level by level with `matmul_np`.  Building, hashing and
-exporting a graph never form them.
-
 No per-vertex or per-edge Python object is made while building, hashing or
-exporting a graph: `CayleyGraph` holds index arrays, and exports are
-written in chunks straight from them.
+exporting a graph: `CayleyGraph` holds the edge array, and exports are
+written in chunks straight from it.
 
 The full graph is only built for groups up to |PSU3(5)| = 126000 vertices
 unless explicitly overridden; nothing downstream needs the explicit graph,
@@ -70,7 +63,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -79,13 +71,12 @@ from .construct import (ConnectionSetError, GeneratorTriple,
                         check_connection_set)
 from .gf import Field
 from .grouporder import IsotropicAction
-from .mat3 import Mat3, matmul_np, su3_center_scalars
+from .mat3 import Mat3
 
 DEFAULT_MAX_VERTICES = 126000
 # Largest q whose graph is built at all, even when allowed past the default
 # gate: |PSU3(13)| is about 8.1e8 vertices, whose edge array alone would take
-# some 19 GB.  It also keeps the packed matrix labels below 2^63
-# (|GF(q^2)|^9 = q^18).
+# some 19 GB.
 MAX_KEY_Q = 11
 # Numbers per chunk when an export is formatted or hashed.
 EXPORT_CHUNK = 1 << 16
@@ -102,31 +93,6 @@ def _pack(cols: np.ndarray, base: int) -> np.ndarray:
         out *= base
         out += row
     return out
-
-
-class _CosetKeys:
-    """Packs the least member of each coset of a column of flat indices."""
-
-    def __init__(self, field: Field):
-        self.size = field.size
-        elements = np.arange(field.size)
-        self.scalar_rows = [field.mul_np(c.index, elements)
-                            for c in su3_center_scalars(field)
-                            if c != field.one]
-
-    def __call__(self, cols: np.ndarray) -> np.ndarray:
-        """Keys of the (9, F) matrices given column-wise."""
-        keys = _pack(cols, self.size)
-        for scalar in self.scalar_rows:
-            np.minimum(keys, _pack(scalar.take(cols), self.size), out=keys)
-        return keys
-
-    def unpack(self, keys: np.ndarray) -> np.ndarray:
-        """The (n, 9) flat index rows of n keys (uint8: size <= 121)."""
-        rows = np.empty((len(keys), 9), dtype=np.uint8)
-        for j in range(8, -1, -1):
-            keys, rows[:, j] = np.divmod(keys, self.size)
-        return rows
 
 
 def frame_points(action: IsotropicAction) -> tuple[int, ...]:
@@ -148,56 +114,10 @@ def frame_points(action: IsotropicAction) -> tuple[int, ...]:
     raise AssertionError("no projective frame among the isotropic points")
 
 
-def _tree_labels(t: GeneratorTriple, tree: np.ndarray) -> np.ndarray:
-    """(n, 9) coset keys of the vertices, replayed from the BFS tree.
-
-    Vertex v > 0 is gens[tree[v - 1] % 3] times vertex tree[v - 1] // 3.
-    Parents precede their children and tree is nondecreasing, so one level
-    is every vertex whose parent already has its matrix.
-    """
-    field = t.field
-    gens = np.array([m.flat_indices for m in t.matrices], dtype=np.int64)
-    parent, gen = np.divmod(tree, len(gens))
-    mats = np.empty((len(tree) + 1, 9), dtype=np.int64)
-    mats[0] = Mat3.identity(field).flat_indices
-    lo = 1
-    while lo < len(mats):
-        hi = 1 + np.searchsorted(parent, lo)
-        mats[lo:hi] = matmul_np(field, gens[gen[lo - 1:hi - 1]],
-                                mats[parent[lo - 1:hi - 1]])
-        lo = hi
-    coset_key = _CosetKeys(field)
-    return coset_key.unpack(coset_key(mats.T))
-
-
 @dataclass
 class CayleyGraph:
     vertex_count: int
     edges: np.ndarray   # (m, 2): u < v in each row, rows sorted
-    triple: GeneratorTriple
-    # (n - 1,): vertex v > 0 first appeared as the child of parent
-    # tree[v - 1] // 3 under generator tree[v - 1] % 3
-    tree: np.ndarray
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """(n, 9): vertex -> canonical coset key (flat index tuple)."""
-        return _tree_labels(self.triple, self.tree)
-
-    @cached_property
-    def key_index(self) -> dict:
-        """Canonical coset key (flat index tuple) -> vertex index."""
-        return {tuple(k): i for i, k in enumerate(self.labels.tolist())}
-
-    def mul_index(self, i: int, j: int) -> int:
-        """Index of the product of vertices i and j (group multiplication)."""
-        field = self.triple.field
-        a, b = (Mat3.from_flat_indices(field, self.labels[k].tolist())
-                for k in (i, j))
-        prod = a * b
-        # the coset key is the least flat index tuple over center multiples
-        return self.key_index[min(prod.scalar_mul(c).flat_indices
-                                  for c in su3_center_scalars(field))]
 
 
 def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
@@ -215,13 +135,16 @@ def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
 
 
 def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
-    """(edges, tree) of the level-synchronous closure; see the module doc."""
+    """Sorted (m, 2) edges of the level-synchronous closure; see the module
+    doc."""
     perms = [action.permutation(s.transpose()) for s in t.matrices]
     frontier = np.array(frame_points(action), dtype=perms[0].dtype)[:, None]
     level_keys = _pack(frontier, action.degree)
     prev_keys = level_keys[:0]
-    edge_levels = []
-    tree_levels = []
+    # edges packed as u << 32 | v: every vertex is a parent once and keeps
+    # the edges to its larger neighbours, 3n/2 in all on a cubic graph
+    packed = np.empty(len(perms) * expected_order // 2, dtype=np.int64)
+    m = 0
     start = 0  # index of the first vertex of the current level
     n = 1
     while frontier.shape[1]:
@@ -252,10 +175,16 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         # once, as check_connection_set rejects generators that coincide in
         # PSU3(q).
         up = parents < idx
-        edge_levels.append(parents[up] << 32 | idx[up])
+        end = m + np.count_nonzero(up)
+        if end > len(packed):
+            raise RuntimeError(
+                f"group closure has more than {len(packed)} edges, the "
+                f"number of a cubic graph on {expected_order} vertices")
+        np.left_shift(parents[up], 32, out=packed[m:end])
+        packed[m:end] |= idx[up]
+        m = end
         # the (parent, generator) column each new vertex first appeared in
         columns = new[first[by_first]]
-        tree_levels.append(len(perms) * start + columns)
         prev_keys, level_keys = level_keys, new_keys[by_first]
         frontier = children[:, columns]
         start, n = n, n + len(new_keys)
@@ -265,22 +194,25 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         raise RuntimeError(
             f"group closure found {n} elements, certificate says "
             f"{expected_order}")
-    packed = np.sort(np.concatenate(edge_levels))
-    edges = np.stack([packed >> 32, packed & 0xFFFFFFFF], axis=1)
-    return edges, np.concatenate(tree_levels)
+    packed = packed[:m]
+    packed.sort()
+    edges = np.empty((m, 2), dtype=np.int64)
+    np.right_shift(packed, 32, out=edges[:, 0])
+    np.bitwise_and(packed, 0xFFFFFFFF, out=edges[:, 1])
+    return edges
 
 
 def build_graph(t: GeneratorTriple, expected_order: int,
                 allow_large: bool = False) -> CayleyGraph:
     check_graph_gate(t.field, expected_order, allow_large)
     check_connection_set(t.matrices)
-    edges, tree = _bfs(t, IsotropicAction(t.field), expected_order)
-    n = len(tree) + 1
+    edges = _bfs(t, IsotropicAction(t.field), expected_order)
+    n = expected_order
     if len(edges) * 2 != 3 * n:
         raise RuntimeError(f"edge count {len(edges)} != 3n/2")
     if np.any(np.bincount(edges.ravel(), minlength=n) != 3):
         raise RuntimeError("graph is not 3-regular")
-    return CayleyGraph(n, edges, t, tree)
+    return CayleyGraph(n, edges)
 
 
 def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:
@@ -356,7 +288,10 @@ def import_edge_list(data: bytes) -> tuple[int, np.ndarray]:
     tokens = body.split()
     if len(tokens) != 2 * m or body.count(b"\n") != m:
         raise ValueError("edge count mismatch in edge-list import")
-    return n, np.array(tokens, dtype=np.int64).reshape(m, 2)
+    edges = np.array(tokens, dtype=np.int64).reshape(m, 2)
+    if np.any(edges < 0) or np.any(edges >= n):
+        raise ValueError(f"vertex id outside [0, {n}) in edge-list import")
+    return n, edges
 
 
 def edge_list_sha256(g: CayleyGraph) -> str:

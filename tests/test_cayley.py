@@ -1,17 +1,16 @@
 """Cayley graph construction, export, and structural invariants."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from psu3grr import cayley
 from psu3grr.cayley import (MAX_KEY_Q, CayleyGraph, ConnectionSetError,
                             GraphSizeError, build_graph, check_graph_gate,
                             edge_list_sha256, export_graph, frame_points,
                             import_edge_list)
-from psu3grr.cli import RunConfig, run_certify
 from psu3grr.construct import GeneratorTriple, build_triple, search_params
 from psu3grr.gf import FieldElem, field
 from psu3grr.grouporder import IsotropicAction, expected_group_order
@@ -25,9 +24,7 @@ def _graph(p, f, **kw):
 
 
 def _toy(n, edges):
-    # exports read the edges alone: no triple, no BFS tree
-    return CayleyGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
-                       None, None)
+    return CayleyGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def test_toy_export_format():
@@ -46,15 +43,6 @@ def test_unsupported_format():
     g = _toy(2, [(0, 1)])
     with pytest.raises(ValueError):
         export_graph(g, "graphml")
-
-
-def test_enumerate_group_identity_is_index_zero():
-    F = field(2, 2)
-    t = build_triple(search_params(F))
-    index = build_graph(t, expected_group_order(F.q)).key_index
-    assert len(index) == 62400
-    ident_key = Mat3.identity(F).flat_indices
-    assert index[ident_key] == 0
 
 
 def test_graph_q4_structure():
@@ -105,17 +93,53 @@ def test_export_round_trip():
     assert len(adj.splitlines()) == g.vertex_count + 1
 
 
+@pytest.mark.parametrize("data", [b"p edge 2 1\n0 7\n", b"p edge 2 1\n-1 1\n",
+                                  b"p edge 2 1\n0 2\n"])
+def test_import_rejects_vertex_ids_out_of_range(data):
+    with pytest.raises(ValueError, match="outside"):
+        import_edge_list(data)
+
+
+def test_graph_build_memory_is_bounded():
+    """The q = 5 BFS packs its edges into one buffer, sorts it in place and
+    unpacks it into the returned 2.9 MB (m, 2) array, so its peak is one
+    level's lookup arrays plus the 1.4 MB buffer."""
+    F = field(5, 1)
+    t = build_triple(search_params(F))
+    order = expected_group_order(F.q)
+    build_graph(t, order)
+    tracemalloc.start()
+    try:
+        g = build_graph(t, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges.nbytes == 3 * order * 8
+    assert peak < 9 * 2 ** 20, peak
+
+
 def test_right_translation_is_automorphism():
-    """10 random translations, checked on 10^4 sampled edges overall."""
+    """10 random translations, checked on 10^4 sampled edges overall.
+
+    Vertices are multiplied as the scalar reference's matrix labels and
+    looked up by its coset keys."""
     t, g = _graph(2, 2)
+    F = t.field
+    labels, key_index, _ = _scalar_bfs(t)
+    canon = _canonicalizer(F)
     rng = random.Random(0xCAFE)
     edges = g.edges.tolist()
     edge_set = set(map(tuple, edges))
     sample = [edges[rng.randrange(len(edges))] for _ in range(1000)]
     for _ in range(10):
-        h = rng.randrange(g.vertex_count)
+        h = Mat3.from_flat_indices(F, labels[rng.randrange(g.vertex_count)])
+
+        def times_h(u):
+            prod = Mat3.from_flat_indices(F, labels[u]) * h
+            return key_index[canon(prod.flat_indices)]
+
         for u, v in sample:
-            uu, vv = g.mul_index(u, h), g.mul_index(v, h)
+            uu, vv = times_h(u), times_h(v)
             assert (uu, vv) in edge_set or (vv, uu) in edge_set
 
 
@@ -124,6 +148,17 @@ def test_size_gate():
     t = build_triple(search_params(F))
     with pytest.raises(GraphSizeError):
         build_graph(t, expected_group_order(F.q))  # 5.6M vertices
+
+
+@pytest.mark.parametrize("order,message", [
+    (31200, "more than 46800 edges"),  # the edge buffer would overrun
+    (62398, "more than 93597 edges"),
+    (62402, "found 62400 elements"),
+])
+def test_wrong_certified_order_is_refused(order, message):
+    t = build_triple(search_params(field(2, 2)))
+    with pytest.raises(RuntimeError, match=message):
+        build_graph(t, order)
 
 
 def test_connection_set_violations_are_rejected():
@@ -143,8 +178,8 @@ def test_connection_set_violations_are_rejected():
 
 
 def test_key_packing_limit_refuses_large_q():
-    # q = 13 has 8.1e8 vertices, past memory (and 169^9 >= 2^63 would
-    # overflow the packed matrix labels)
+    # q = 13 has 8.1e8 vertices, past memory; up to q = 11 the frame keys
+    # (four point indices in base q^3 + 1) fit in an int64
     F = field(13, 1)
     t = build_triple(search_params(F))
     with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
@@ -152,7 +187,7 @@ def test_key_packing_limit_refuses_large_q():
     with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
         build_graph(t, expected_group_order(13), allow_large=True)
     F11 = field(11, 1)
-    assert F11.size ** 9 < 2 ** 63 <= F.size ** 9
+    assert (11 ** 3 + 1) ** 4 < 2 ** 63
     check_graph_gate(F11, expected_group_order(11), allow_large=True)
 
 
@@ -189,15 +224,6 @@ def test_transposed_permutation_is_column_action(p, f):
                  for i in range(3)]
             lead = next(x for x in w if not x.is_zero()).inv()
             assert perm[k] == index[tuple((x * lead).index for x in w)]
-
-
-def test_certify_graph_never_builds_matrix_labels(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("matrix labels built during certify")
-    monkeypatch.setattr(cayley, "_tree_labels", refuse)
-    cert, code = run_certify(RunConfig(5, 1, stages=("graph",)))
-    assert cert["stages"]["graph"]["status"] == "pass"
-    assert cert["stages"]["graph"]["vertices"] == 126000
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +304,9 @@ def _scalar_export(n, edges, fmt):
 
 def test_level_bfs_matches_scalar_reference():
     t, g = _graph(2, 2)
-    labels, key_index, edges = _scalar_bfs(t)
-    assert [tuple(k) for k in g.labels.tolist()] == labels
-    assert g.key_index == key_index
+    _, key_index, edges = _scalar_bfs(t)
+    assert g.vertex_count == len(key_index) == 62400
+    assert key_index[Mat3.identity(t.field).flat_indices] == 0
     assert g.edges.tolist() == [list(e) for e in edges]
 
 
@@ -289,5 +315,5 @@ def test_exports_match_scalar_reference(p, f):
     t, g = _graph(p, f)
     _, _, edges = _scalar_bfs(t)
     for fmt in ("edge-list", "adjacency"):
-        assert export_graph(g, fmt) == _scalar_export(len(g.labels), edges,
+        assert export_graph(g, fmt) == _scalar_export(g.vertex_count, edges,
                                                       fmt), fmt
