@@ -310,6 +310,19 @@ def test_level_bfs_matches_scalar_reference():
     assert g.edges.tolist() == [list(e) for e in edges]
 
 
+def test_enumerate_group_identity_is_index_zero():
+    t, g = _graph(2, 2)
+    assert g.vertex_count == 62400
+    # vertex 0 is the identity: its neighbours are the generator classes,
+    # discovered first, in generator order
+    canon = _canonicalizer(t.field)
+    _, key_index, _ = _scalar_bfs(t)
+    assert key_index[canon(Mat3.identity(t.field).flat_indices)] == 0
+    gen_idx = {key_index[canon(m.flat_indices)] for m in t.matrices}
+    nbrs = {int(v) for u, v in g.edges if u == 0}
+    assert nbrs == gen_idx == set(range(1, len(gen_idx) + 1))
+
+
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
 def test_exports_match_scalar_reference(p, f):
     t, g = _graph(p, f)
