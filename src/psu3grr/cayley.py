@@ -36,14 +36,28 @@ The closure runs one BFS level at a time on numpy arrays:
 * A level is a (4, F) array of the keys of its vertices.  The children
   s * g for s = X, Y, Z are formed in (parent, generator) order,
   parent-major.
-* A child is looked up only among the keys of the previous and the
-  current level.  This finds every known vertex: X, Y and Z are
-  involutions (checked by `construct.check_connection_set`), so g = s(sg) and
-  the graph is undirected; hence BFS distances of neighbours differ by at
-  most one, and every neighbour of a vertex of level L lies in level
-  L - 1, L or L + 1.  The children not found there form level L + 1.
-* The new vertices are numbered in the order they first appear in the
-  (parent, generator) sequence.  That is the numbering of the sequential
+* The 3F child keys of a level (F vertices) are sorted once with
+  `np.argsort`.  A run of equal keys is one vertex, and its positions are
+  exactly the (parent, generator) columns where it appears, so it first
+  appears at the smallest position in its run (`np.minimum.reduceat`).
+  The sort need not be stable: the runs, the sorted distinct keys and the
+  minima are the same whatever order ties come in.  So are the level's
+  edges: each child gets its run's id, and its parent is read off its
+  position (parent start + position // 3), and the edges are sorted at
+  the end anyway.
+* The distinct keys are matched against the keys of the previous and the
+  current level, each held sorted with its vertex ids: `searchsorted`
+  places every known key among the distinct keys, and as both sides are
+  sorted, the searches walk memory in order.  Looking only there finds
+  every known vertex: X, Y and Z are
+  involutions (checked by `construct.check_connection_set`), so g = s(sg)
+  and the graph is undirected; hence BFS distances of neighbours differ by
+  at most one, and every neighbour of a vertex of level L lies in level
+  L - 1, L or L + 1.  The keys not found there form level L + 1; they are
+  in sorted order already, so that level's sorted keys cost no sort.
+* The new vertices are numbered in the order of their first appearance in
+  the (parent, generator) sequence, and the next frontier takes their
+  columns in that order.  That is the numbering of the sequential
   BFS (pop vertices in index order, try X, Y, Z, number each unseen element
   next): it numbers levels in turn, since a FIFO queue holds every vertex
   of level L before any of level L + 1, and within level L + 1 it numbers
@@ -139,8 +153,10 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
     doc."""
     perms = [action.permutation(s.transpose()) for s in t.matrices]
     frontier = np.array(frame_points(action), dtype=perms[0].dtype)[:, None]
-    level_keys = _pack(frontier, action.degree)
-    prev_keys = level_keys[:0]
+    # the previous and the current level: their keys, sorted, with the
+    # vertex ids alongside
+    known = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+             (_pack(frontier, action.degree), np.zeros(1, dtype=np.int64))]
     # edges packed as u << 32 | v: every vertex is a parent once and keeps
     # the edges to its larger neighbours, 3n/2 in all on a cubic graph
     packed = np.empty(len(perms) * expected_order // 2, dtype=np.int64)
@@ -151,23 +167,42 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         # columns in (parent, generator) order, parent-major
         children = np.stack([perm.take(frontier) for perm in perms],
                             axis=2).reshape(4, -1)
+        del frontier
         keys = _pack(children, action.degree)
-        parents = np.repeat(np.arange(start, n), len(perms))
-        # look each child up among the previous and the current level
-        known = np.concatenate([prev_keys, level_keys])
-        order = np.argsort(known)
-        pos = np.minimum(np.searchsorted(known[order], keys), len(known) - 1)
-        found = known[order[pos]] == keys
-        idx = np.empty(len(keys), dtype=np.int64)
-        idx[found] = start - len(prev_keys) + order[pos[found]]
+        # sort the children by key: each run of equal keys is one vertex,
+        # which first appears at the smallest position in its run
+        sort = np.argsort(keys)
+        keys = keys[sort]
+        head = np.empty(len(keys), dtype=bool)
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        del head
+        unique = keys[starts]
+        del keys
+        first = np.minimum.reduceat(sort, starts)
+        # look each vertex up among the previous and the current level
+        ids = np.full(len(unique), -1, dtype=np.int64)
+        for level_keys, level_ids in known:
+            pos = np.searchsorted(unique, level_keys)
+            np.minimum(pos, len(unique) - 1, out=pos)
+            hit = unique[pos] == level_keys
+            ids[pos[hit]] = level_ids[hit]
+            del pos, hit
         # number the new vertices by first appearance
-        new = np.flatnonzero(~found)
-        new_keys, first, inverse = np.unique(
-            keys[new], return_index=True, return_inverse=True)
-        by_first = np.argsort(first)
-        number = np.empty(len(new_keys), dtype=np.int64)
-        number[by_first] = np.arange(n, n + len(new_keys))
-        idx[new] = number[inverse]
+        new = np.flatnonzero(ids < 0)
+        by_first = new[np.argsort(first[new])]
+        ids[by_first] = np.arange(n, n + len(new))
+        known = [known[1], (unique[new], ids[new])]
+        # the (parent, generator) column each new vertex first appeared in
+        frontier = children[:, first[by_first]]
+        del children, unique, first, new, by_first
+        # the edges in key order: every child in a run gets the run's id,
+        # and the child at position i has the parent start + i // 3
+        idx = np.repeat(ids, np.diff(starts, append=len(sort)))
+        parents = np.floor_divide(sort, len(perms), out=sort)
+        parents += start
+        del sort, starts, ids
         if np.any(idx == parents):
             raise ConnectionSetError("loop edge: a generator fixes a coset")
         # each edge {g, sg} is found from both ends, since every vertex is
@@ -182,12 +217,9 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
                 f"number of a cubic graph on {expected_order} vertices")
         np.left_shift(parents[up], 32, out=packed[m:end])
         packed[m:end] |= idx[up]
+        del parents, idx, up
         m = end
-        # the (parent, generator) column each new vertex first appeared in
-        columns = new[first[by_first]]
-        prev_keys, level_keys = level_keys, new_keys[by_first]
-        frontier = children[:, columns]
-        start, n = n, n + len(new_keys)
+        start, n = n, n + frontier.shape[1]
         if n > expected_order:
             break
     if n != expected_order:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
+import numpy as np
+
 from .gf import Field, FieldElem
 from .mat3 import Mat3, is_special_unitary, projectively_equal
 
@@ -47,6 +49,8 @@ ODD_CONDITIONS = ("yz-xy", "yz-xz", "xy-xz")
 EVEN_CONDITIONS = ("zx-zy", "zx-xy", "zy-xy", "trace-nonzero")
 # conditions whose left side gets the p^i twist
 TWISTED = {"yz-xy", "yz-xz", "zx-zy", "zx-xy"}
+# field elements per block of the b census (count_valid_b)
+CENSUS_BLOCK = 1 << 14
 
 
 def parity_of(field: Field) -> str:
@@ -121,8 +125,21 @@ def find_b(field: Field, parity: str | None = None) -> FieldElem:
 
 
 def count_valid_b(field: Field, parity: str | None = None) -> int:
+    """How many b pass `b_is_valid`, in index arithmetic over the whole
+    field, one block of CENSUS_BLOCK elements at a time (which bounds the
+    temporaries).  Zero has trace 0, so the trace test excludes it."""
     parity = parity or require_supported(field)
-    return sum(1 for b in field.nonzero_elements() if b_is_valid(field, b, parity))
+    one = field.one.index
+    count = 0
+    for lo in range(0, field.size, CENSUS_BLOCK):
+        b = np.arange(lo, min(lo + CENSUS_BLOCK, field.size))
+        bq = field.powq_np(b)
+        valid = field.add_np(b, bq) == one
+        valid &= field.mul_np(b, bq) != one
+        if parity == "odd":
+            valid &= b != bq
+        count += int(np.count_nonzero(valid))
+    return count
 
 
 def exponent_set(f: int, parity: str) -> tuple[int, ...]:

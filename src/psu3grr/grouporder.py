@@ -471,12 +471,21 @@ def dihedral_image_order(t: GeneratorTriple,
 def _eigenvalues(m: Mat3) -> list[FieldElem]:
     """Roots of the characteristic polynomial of m, in index order.
 
-    A Horner evaluation at every field element, in index arithmetic.
+    A Horner evaluation, in index arithmetic, at every candidate root.  A
+    root l has an eigenvector v != 0, M v = l v.  When M M = I (X, Y and Z
+    are involutions), v = M M v = l^2 v gives l^2 = 1, so the candidates
+    are 1 and -1, a single one in characteristic 2.  Any other matrix has
+    every field element as a candidate.
     """
     fld = m.field
     add, mul = fld.add_index, fld.mul_index
     c2, c1, c0 = (c.index for c in m.char_poly().as_tuple())
-    return [FieldElem(fld, x) for x in range(fld.size)
+    if m * m == Mat3.identity(fld):
+        one = fld.one.index
+        candidates = sorted({one, fld.neg_index(one)})
+    else:
+        candidates = range(fld.size)
+    return [FieldElem(fld, x) for x in candidates
             if add(mul(add(mul(add(x, c2), x), c1), x), c0) == 0]
 
 
@@ -519,7 +528,7 @@ def invariant_subspace_test(t: GeneratorTriple) -> bool:
     A common invariant plane for the triple is a common invariant line for
     the transposes, so both cases reduce to the eigenline search.  A matrix
     and its transpose have the same characteristic polynomial, so the
-    eigenvalues are found once, by three scans of the field.
+    eigenvalues are found once per matrix.
     """
     mats = list(t.matrices)
     eigenvalues = [_eigenvalues(m) for m in mats]

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from psu3grr import cayley
 from psu3grr.cayley import (MAX_KEY_Q, CayleyGraph, ConnectionSetError,
                             GraphSizeError, build_graph, check_graph_gate,
                             edge_list_sha256, export_graph, frame_points,
@@ -116,6 +117,36 @@ def test_graph_build_memory_is_bounded():
         tracemalloc.stop()
     assert g.edges.nbytes == 3 * order * 8
     assert peak < 9 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
+def test_bfs_numbering_ignores_tie_order(p, f, monkeypatch):
+    """The edges are the same whether the child keys' sort puts equal keys
+    in the default order, in position order (stable) or in reverse
+    position order."""
+    F = field(p, f)
+    t = build_triple(search_params(F))
+    action = IsotropicAction(F)
+    order = expected_group_order(F.q)
+    default = cayley._bfs(t, action, order)
+    argsort = np.argsort
+    calls = []
+
+    def stable(a):
+        calls.append(len(a))
+        return argsort(a, kind="stable")
+
+    def reversed_ties(a):
+        calls.append(len(a))
+        return len(a) - 1 - argsort(a[::-1], kind="stable")
+
+    for sort in (stable, reversed_ties):
+        monkeypatch.setattr(cayley.np, "argsort", sort)
+        edges = cayley._bfs(t, action, order)
+        monkeypatch.setattr(cayley.np, "argsort", argsort)
+        assert np.array_equal(edges, default), sort.__name__
+    # the patched sorts ran, on levels of tens of thousands of children
+    assert max(calls) >= 3 * 10 ** 4
 
 
 def test_right_translation_is_automorphism():

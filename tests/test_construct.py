@@ -31,12 +31,16 @@ def _scan_valid_b(F, parity):
     return out
 
 
-@pytest.mark.parametrize("p,f", ODD_QS + EVEN_QS)
+@pytest.mark.parametrize("p,f", ODD_QS + EVEN_QS + [(7, 2), (2, 6)])
 def test_find_b_is_first_valid(p, f):
+    """find_b and the census count_valid_b against a direct scan and
+    against b_is_valid run on every element, for q from 4 to 64."""
     F = field(p, f)
     parity = require_supported(F)
     oracle = _scan_valid_b(F, parity)
     assert oracle, "trace is onto, so valid b must exist"
+    assert oracle == [b for b in F.nonzero_elements()
+                      if b_is_valid(F, b, parity)]
     assert find_b(F) == oracle[0]
     assert count_valid_b(F) == len(oracle)
 

@@ -397,14 +397,23 @@ def test_reducible_triples_are_detected():
     assert not invariant_subspace_test(diag_triple)
 
 
-@pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (3, 2), (7, 2), (2, 6)])
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 2), (3, 2), (7, 2), (2, 6),
+                                 (2, 3), (2, 4), (5, 2)])
 def test_eigenvalues_match_fieldelem_scan(p, f):
     """Index-arithmetic roots equal a FieldElem evaluation at every element,
-    for q from 4 to 64."""
+    for q from 4 to 64.  X, Y, Z, their transposes and the identity try
+    only the roots 1 and -1; the rotations, c X (whose square c^2 I is
+    scalar but not I) and the random matrices try every element."""
     F = field(p, f)
     t = build_triple(search_params(F))
     rng = np.random.default_rng(p * 100 + f)
-    mats = list(t.matrices) + [t.X * t.Y, t.Y * t.Z, Mat3.identity(F)]
+    c = next(x for x in F.nonzero_elements() if x * x != F.one)
+    involutions = [m for s in t.matrices for m in (s, s.transpose())]
+    involutions.append(Mat3.identity(F))
+    assert all(m * m == Mat3.identity(F) for m in involutions)
+    mats = involutions + [t.X * t.Y, t.Y * t.Z, t.X.scalar_mul(c)]
+    # X has the eigenvalue 1, so c X has c, which 1 and -1 would miss
+    assert c in grouporder._eigenvalues(t.X.scalar_mul(c))
     for _ in range(4):
         mats.append(Mat3.from_flat_indices(
             F, rng.integers(0, F.size, 9).tolist()))
