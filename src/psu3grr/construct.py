@@ -215,9 +215,7 @@ def check_conditions(field: Field, parity: str, a: FieldElem, b: FieldElem,
 
 def elements_of_order(field: Field, n: int):
     """Elements of exact multiplicative order n, in enumeration order."""
-    for x in field.nonzero_elements():
-        if x.order() == n:
-            yield x
+    return [FieldElem(field, i) for i in field.indices_of_order(n)]
 
 
 def search_params(field: Field) -> ConstructionParams:

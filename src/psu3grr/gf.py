@@ -369,6 +369,16 @@ class Field:
         """Index of g^k, g the generator the log tables are built on."""
         return self._exp[k % self._mult_order]
 
+    def indices_of_order(self, n: int) -> list[int]:
+        """Indices of the elements of multiplicative order exactly n, in
+        index order: the g^(k (q^2 - 1) / n) with gcd(k, n) = 1, and none
+        when n does not divide q^2 - 1."""
+        m = self._mult_order
+        if n < 1 or m % n:
+            return []
+        step, exp = m // n, self._exp
+        return sorted(exp[k * step] for k in range(n) if gcd(k, n) == 1)
+
     def frob_index(self, i, e):
         """Index of x^(p^e) for x of index i."""
         return self.pow_index(i, self.p ** (e % self.ext_degree))

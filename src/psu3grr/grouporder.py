@@ -27,10 +27,12 @@ triple that fails the check gets no bound.  A triple that generates a
 proper subgroup never reaches the bound, so its chain runs to the end and
 the subgroup order it reports is exact.
 
-Irreducibility is certified two independent ways: an invariant-line search
-via eigenspace intersections (covering invariant planes through transposes)
-and the dimension of the simultaneous commutant, which is 1 exactly for
-absolutely irreducible triples.
+Absolute irreducibility is certified in two parts of one argument.  The
+eigenline test (invariant_subspace_test) proves that the triple fixes no
+line and no plane of GF(q^2)^3, so it is irreducible over F = GF(q^2).
+The commutant of an irreducible module is a finite division algebra, so
+a field (Wedderburn), and commutant_dimension = 1 means that field is F,
+which makes the triple absolutely irreducible.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ import numpy as np
 
 from .construct import GeneratorTriple
 from .gf import Field, FieldElem
-from .linalg import nullspace, rref_np
+# nullspace is not called here, but perfbench/tracer.py counts solves by
+# rebinding grouporder.nullspace, so the name stays
+from .linalg import nullspace, rref_np  # noqa: F401
 from .mat3 import (Mat3, adjugate_np, intertwiner_np, is_special_unitary,
-                   matmul_np)
+                   matmul_np, vecmat_np)
 
 # Schreier pairs that _drain sifts together against one chain
 SIFT_BATCH = 512
@@ -139,26 +143,17 @@ class IsotropicAction:
                 "unitary for this form?)")
         return pos
 
-    def _times(self, v, m):
-        """v * M for broadcast stacks of row vectors v (..., 3) and
-        matrices m (..., 3, 3): one mul_np over [..., k, j], then the sum
-        over k."""
-        fld = self.field
-        terms = fld.mul_np(v[..., :, None], m)
-        return fld.add_np(fld.add_np(terms[..., 0, :], terms[..., 1, :]),
-                          terms[..., 2, :])
-
     def permutation(self, mat: Mat3) -> np.ndarray:
         """Permutation array of the point indices under v -> v * M."""
         m = np.array(mat.flat_indices, dtype=np.int64).reshape(3, 3)
-        return self._locate(self._times(self.point_matrix, m)).astype(
-            self._dtype)
+        images = vecmat_np(self.field, self.point_matrix, m)
+        return self._locate(images).astype(self._dtype)
 
     def images(self, point: int, mats) -> np.ndarray:
         """Indices of the images of one point under each of the stacked
         matrices mats, a (K, 9) index array."""
-        return self._locate(
-            self._times(self.point_matrix[point], mats.reshape(-1, 3, 3)))
+        return self._locate(vecmat_np(self.field, self.point_matrix[point],
+                                      mats.reshape(-1, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,88 +466,73 @@ def dihedral_image_order(t: GeneratorTriple,
 def _eigenvalues(m: Mat3) -> list[FieldElem]:
     """Roots of the characteristic polynomial of m, in index order.
 
-    A Horner evaluation, in index arithmetic, at every candidate root.  A
+    One Horner evaluation, on index arrays, at every candidate root.  A
     root l has an eigenvector v != 0, M v = l v.  When M M = I (X, Y and Z
     are involutions), v = M M v = l^2 v gives l^2 = 1, so the candidates
     are 1 and -1, a single one in characteristic 2.  Any other matrix has
     every field element as a candidate.
     """
     fld = m.field
-    add, mul = fld.add_index, fld.mul_index
+    add, mul = fld.add_np, fld.mul_np
     c2, c1, c0 = (c.index for c in m.char_poly().as_tuple())
     if m * m == Mat3.identity(fld):
         one = fld.one.index
-        candidates = sorted({one, fld.neg_index(one)})
+        x = np.array(sorted({one, fld.neg_index(one)}), dtype=np.int64)
     else:
-        candidates = range(fld.size)
-    return [FieldElem(fld, x) for x in candidates
-            if add(mul(add(mul(add(x, c2), x), c1), x), c0) == 0]
+        x = np.arange(fld.size, dtype=np.int64)
+    roots = x[add(mul(add(mul(add(x, c2), x), c1), x), c0) == 0]
+    return [FieldElem(fld, i) for i in roots.tolist()]
 
 
-def _minus_lambda(m: Mat3, lam: FieldElem) -> list[list[int]]:
-    """The rows of M - lam * I, as element indices."""
-    fld = m.field
-    neg_lam = fld.neg_index(lam.index)
-    e = m.flat_indices
-    return [[fld.add_index(e[3 * i + j], neg_lam) if i == j else e[3 * i + j]
-             for j in range(3)] for i in range(3)]
-
-
-def _has_common_eigenline(mats, eigenvalues) -> bool:
-    """Is there one line fixed (as a column eigenline) by all three matrices?
-
-    Any common invariant line is a simultaneous eigenline, so it shows up as
-    a nonzero intersection null(A - l1) & null(B - l2) & null(C - l3) for
-    some eigenvalue triple; conversely any such nonzero vector spans a
-    common invariant line.  eigenvalues[i] lists those of mats[i].
-    """
-    field = mats[0].field
-    a, b, c = mats
-    eig_a, eig_b, eig_c = eigenvalues
-    for la in eig_a:
-        rows_a = _minus_lambda(a, la)
-        for lb in eig_b:
-            rows_ab = rows_a + _minus_lambda(b, lb)
-            if not nullspace(rows_ab, 3, field):
-                continue
-            for lc in eig_c:
-                rows = rows_ab + _minus_lambda(c, lc)
-                if nullspace(rows, 3, field):
-                    return True
-    return False
+# the transpose of a row-major 3x3 matrix as a permutation of its entries
+_TRANSPOSE = [0, 3, 6, 1, 4, 7, 2, 5, 8]
 
 
 def invariant_subspace_test(t: GeneratorTriple) -> bool:
-    """True iff the triple fixes no line and no plane of GF(q^2)^3.
+    """True iff the triple fixes no line and no plane of F^3, F = GF(q^2).
 
-    A common invariant plane for the triple is a common invariant line for
-    the transposes, so both cases reduce to the eigenline search.  A matrix
-    and its transpose have the same characteristic polynomial, so the
-    eigenvalues are found once per matrix.
+    A common invariant line is spanned by a common eigenvector: v != 0
+    with (A - l1) v = (B - l2) v = (C - l3) v = 0 for an eigenvalue triple
+    (l1, l2, l3), so the 9 x 3 system [A - l1; B - l2; C - l3] has rank
+    below 3; conversely such a v spans a common invariant line.  A common
+    invariant plane is a common invariant line of the transposes, which
+    have the same eigenvalues.  So the triple is irreducible over F
+    exactly when every system, for each eigenvalue triple in both
+    orientations, has rank 3; one rref_np call ranks them all, and with no
+    eigenvalue triple nothing is fixed.  Irreducibility over F is only the
+    first half of the proof; commutant_dimension gives the second.
     """
-    mats = list(t.matrices)
-    eigenvalues = [_eigenvalues(m) for m in mats]
-    transposed = [m.transpose() for m in mats]
-    return not (_has_common_eigenline(transposed, eigenvalues)
-                or _has_common_eigenline(mats, eigenvalues))
+    fld = t.field
+    mats = np.array([m.flat_indices for m in t.matrices], dtype=np.int64)
+    eigenvalues = [[l.index for l in _eigenvalues(m)] for m in t.matrices]
+    lams = np.array(list(product(*eigenvalues)), dtype=np.int64)
+    minus = fld.mul_np(lams.reshape(-1, 3), fld.neg_index(fld.one.index))
+    # A - l1, B - l2, C - l3 per triple; index 0 is the zero element
+    shifted = fld.add_np(mats, minus[:, :, None] * _DIAGONAL)
+    systems = np.concatenate((shifted, shifted[:, :, _TRANSPOSE]))
+    _, rank = rref_np(systems.reshape(-1, 9, 3), fld)
+    return bool((rank == 3).all())
 
 
 def commutant_dimension(t: GeneratorTriple) -> int:
-    """Dimension of {D : DX = XD, DY = YD, DZ = ZD} over GF(q^2).
+    """Dimension over F = GF(q^2) of {D : DX = XD, DY = YD, DZ = ZD}.
 
-    Equals 1 exactly when the triple is absolutely irreducible; the identity
-    triple gives 9, a single diagonal with distinct entries gives 3.
-    """
-    return commutant_dimension_of(list(t.matrices), t.field)
-
-
-def commutant_dimension_of(mats, field: Field) -> int:
-    """Dimension of {D : M D = D M for every M in mats}.
+    The second half of the irreducibility proof (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, MeatAxe section: an
+    F-irreducible module is absolutely irreducible exactly when its
+    endomorphism ring is F).  Once invariant_subspace_test has shown the
+    triple irreducible over F, its commutant is a finite division algebra
+    (Schur), hence a field (Wedderburn) containing the scalars F, and
+    dimension 1 makes it F.  Neither half implies the other: (diag(1, a,
+    a^2), J, I) with J unitriangular fixes a line at dimension 1, and the
+    companion matrix of a rootless cubic, with I and I, fixes nothing at
+    dimension 3.  The identity triple gives 9.
 
     The equations M D - D M = 0 are the intertwiner blocks of each M with
     itself, at the scalar 1 (mat3.intertwiner_np).
     """
-    flat = np.array([m.flat_indices for m in mats])
-    system = intertwiner_np(field, flat, flat, field.one.index)
-    _, rank = rref_np(system.reshape(1, -1, 9), field)
+    fld = t.field
+    flat = np.array([m.flat_indices for m in t.matrices])
+    system = intertwiner_np(fld, flat, flat, fld.one.index)
+    _, rank = rref_np(system.reshape(1, -1, 9), fld)
     return 9 - int(rank[0])

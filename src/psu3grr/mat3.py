@@ -188,15 +188,23 @@ class Mat3:
 # Stacked matrices: (K, 9) arrays of row-major field indices
 # ---------------------------------------------------------------------------
 
-def matmul_np(field: Field, a, b):
-    """Row-wise products a[k] * b[k] of stacked matrices.
+def vecmat_np(field: Field, v, m):
+    """v * M for broadcast stacks of row vectors v (..., 3) and matrices
+    m (..., 3, 3) of field indices.
 
-    All 27 entry products come from one log-domain gather over
-    (K, i, k, j), then two add_np calls sum over k.
+    All entry products come from one log-domain gather over (..., k, j),
+    then two add_np calls sum over k.
     """
-    terms = field.mul_np(a.reshape(-1, 3, 3, 1), b.reshape(-1, 1, 3, 3))
-    return field.add_np(field.add_np(terms[:, :, 0], terms[:, :, 1]),
-                        terms[:, :, 2]).reshape(-1, 9)
+    terms = field.mul_np(v[..., :, None], m)
+    return field.add_np(field.add_np(terms[..., 0, :], terms[..., 1, :]),
+                        terms[..., 2, :])
+
+
+def matmul_np(field: Field, a, b):
+    """Row-wise products a[k] * b[k] of stacked matrices (K, 9): the rows
+    of a[k] times b[k], 27 entry products per matrix."""
+    return vecmat_np(field, a.reshape(-1, 3, 3),
+                     b.reshape(-1, 1, 3, 3)).reshape(-1, 9)
 
 
 def adjugate_np(field: Field, a):
@@ -266,14 +274,12 @@ def su3_center_scalars(field: Field) -> tuple[FieldElem, ...]:
     These are the scalars of the center of SU3(q); projective identities
     are always taken modulo this set.  They form the subgroup of order
     gcd(3, q + 1) of the cyclic group GF(q^2)*, of order q^2 - 1: {1}, or,
-    when 3 divides q + 1 (and so q^2 - 1), the elements of log 0,
-    (q^2 - 1)/3 and 2(q^2 - 1)/3.  Returned in index order.
+    when 3 divides q + 1 (and so q^2 - 1), the elements of orders 1 and 3.
+    Returned in index order.
     """
-    if (field.q + 1) % 3:
-        return (field.one,)
-    third = (field.size - 1) // 3
-    return tuple(sorted(FieldElem(field, field.exp_index(k * third))
-                        for k in range(3)))
+    orders = (1,) if (field.q + 1) % 3 else (1, 3)
+    indices = sorted(i for n in orders for i in field.indices_of_order(n))
+    return tuple(FieldElem(field, i) for i in indices)
 
 
 def projectively_equal(m1: Mat3, m2: Mat3) -> bool:

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +349,16 @@ def test_export_graph_bytes_are_pinned(p, f, fmt, tmp_path, capsys):
     assert (doc["written"], doc["format"]) == (str(out), fmt)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         EXPORT_HASHES[p ** f, fmt]
+
+
+def test_traced_run_still_wraps_every_layer():
+    """perfbench/tracer.py rebinds names of the package (cli's stage
+    callees, grouporder.nullspace, autcheck.solve_twisted_conjugacy, ...);
+    renaming one of them breaks this traced q = 4 verdict."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", "--p", "2", "--f", "2"],
+        cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["exit"], doc["cert"]["verdict"]) == (EXIT_OK, "GRR_CONFIRMED")

@@ -105,6 +105,23 @@ def test_order_counts_match_totient(p, f):
         assert c == phi(d)
 
 
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (2, 3), (3, 2), (2, 4),
+                                 (5, 2), (7, 2), (2, 6)])
+def test_indices_of_order_match_order_scan(p, f):
+    """For every divisor n of q^2 - 1 (q from 4 to 64), the closed form
+    lists exactly the elements the order() scan finds, in index order; a
+    non-divisor has none."""
+    F = field(p, f)
+    n = F.size - 1
+    scan = {}
+    for x in F.nonzero_elements():
+        scan.setdefault(x.order(), []).append(x.index)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            assert F.indices_of_order(d) == scan[d], d
+    assert F.indices_of_order(n + 1) == []
+
+
 def test_order_counts_examples():
     assert sum(1 for x in field(5, 1).nonzero_elements() if x.order() == 4) == 2
     assert sum(1 for x in field(2, 2).nonzero_elements() if x.order() == 5) == 4

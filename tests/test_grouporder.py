@@ -2,6 +2,7 @@
 
 from collections import deque
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -429,19 +430,40 @@ def test_eigenvalues_match_fieldelem_scan(p, f):
     assert roots >= 12  # the diagonal matrices alone give at least 4 x 1
 
 
-def test_irreducibility_oracles_agree_on_tested_triples():
-    """Both certifiers must say the same thing on every triple we test."""
+def _rootless_cubic_companion(F):
+    """Companion matrix of the first monic cubic without a root in F."""
+    for c2, c1, c0 in product(F.elements(), repeat=3):
+        if all(((x + c2) * x + c1) * x + c0 for x in F.elements()):
+            return Mat3(F, (F.zero, F.zero, -c0, F.one, F.zero, -c1,
+                            F.zero, F.one, -c2))
+    raise AssertionError("every cubic has a root")  # unreachable
+
+
+def test_irreducibility_checks_on_tested_triples():
+    """(eigenline test, commutant dimension) on each triple at q = 4, 5, 7.
+    The two are parts of one argument, not equivalent oracles: irreducible
+    over F with commutant dimension 1 is absolutely irreducible, and either
+    can hold without the other."""
     cases = []
-    for p, f in [(5, 1), (2, 2)]:
+    for p, f in [(2, 2), (5, 1), (7, 1)]:
         F = field(p, f)
         cp = search_params(F)
-        t = build_triple(cp)
         I = Mat3.identity(F)
-        cases.extend([t, GeneratorTriple(cp, I, I, I)])
-    for t in cases:
-        irr = invariant_subspace_test(t)
-        comm = commutant_dimension(t)
-        assert irr == (comm == 1)
+        g = F.from_index(F.exp_index(1))  # 1, g, g^2 distinct: order q^2 - 1
+        zero, one = F.zero, F.one
+        diag = Mat3(F, (one, zero, zero, zero, g, zero, zero, zero, g * g))
+        unitriangular = Mat3.from_rows(F, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        cases += [
+            (build_triple(cp), (True, 1)),
+            (GeneratorTriple(cp, I, I, I), (False, 9)),
+            # fixes the line of e1, yet only scalars commute with both
+            (GeneratorTriple(cp, diag, unitriangular, I), (False, 1)),
+            # irreducible over F, with commutant F[C] = GF(q^6)
+            (GeneratorTriple(cp, _rootless_cubic_companion(F), I, I),
+             (True, 3)),
+        ]
+    for t, expected in cases:
+        assert (invariant_subspace_test(t), commutant_dimension(t)) == expected
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
