@@ -72,9 +72,10 @@ VERDICT_STAGES = ("search", "construct", "order", "irreducible", "aut")
 STAGE_RUN_ORDER = ("search", "construct", "order", "irreducible", "aut", "graph")
 
 # order certification above this permutation degree needs an explicit flag;
-# every q <= 37 (degree <= 50 654) certifies in about a second or two, and
-# the next supported q, 41 (degree 68 922), is the first one refused
-ORDER_DEGREE_GATE = 60000
+# every q <= 64 (degree <= 262 145) certifies in at most about 5 s and
+# 270 MB, and the next supported q, 67 (degree 300 764), is the first one
+# refused
+ORDER_DEGREE_GATE = 270000
 
 
 class InternalInconsistency(RuntimeError):

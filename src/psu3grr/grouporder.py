@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -168,28 +168,95 @@ def _is_scalar(rows):
     return (rows == rows[:, :1] * _DIAGONAL).all(axis=1)
 
 
+class _PendingPairs:
+    """A level's pending Schreier pairs (orbit position, generator index).
+
+    The pairs are held in order as runs (a0, a1, g0, g1), each standing
+    for product(range(a0, a1), range(g0, g1)), position-major: add_gen
+    appends one run per new generator and _grow one per orbit layer, so a
+    level stores a few tuples however many pairs wait on it.  len()
+    counts pairs and iteration yields them in order, as a deque of pairs
+    would.
+    """
+
+    __slots__ = ("runs", "count")
+
+    def __init__(self):
+        self.runs = deque()
+        self.count = 0
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        for a0, a1, g0, g1 in self.runs:
+            yield from product(range(a0, a1), range(g0, g1))
+
+    def append(self, a0: int, a1: int, g0: int, g1: int):
+        if a0 < a1 and g0 < g1:
+            self.runs.append((a0, a1, g0, g1))
+            self.count += (a1 - a0) * (g1 - g0)
+
+    def head(self, n: int):
+        """The first min(n, len(self)) pairs, which must be at least one,
+        as int64 arrays of positions and of generator indices.  Nothing
+        is removed."""
+        a_parts, g_parts = [], []
+        for a0, a1, g0, g1 in self.runs:
+            if n <= 0:
+                break
+            width = g1 - g0
+            k = min(n, (a1 - a0) * width)
+            row, col = np.divmod(np.arange(k, dtype=np.int64), width)
+            a_parts.append(row + a0)
+            g_parts.append(col + g0)
+            n -= k
+        return np.concatenate(a_parts), np.concatenate(g_parts)
+
+    def drop(self, n: int):
+        """Remove the first n pairs.  A run cut inside a row leaves the
+        rest of that row, then its whole rows after it."""
+        self.count -= n
+        runs = self.runs
+        while n:
+            a0, a1, g0, g1 = runs.popleft()
+            width = g1 - g0
+            size = (a1 - a0) * width
+            if n < size:
+                a, r = divmod(n, width)
+                a += a0
+                if a + (r > 0) < a1:
+                    runs.appendleft((a + (r > 0), a1, g0, g1))
+                if r:
+                    runs.appendleft((a, a + 1, g0 + r, g1))
+                return
+            n -= size
+
+
 class _Level:
     __slots__ = ("beta", "gens", "mats", "orbit", "pos", "T", "Tinv",
                  "pending")
 
     def __init__(self, beta: int, action: IsotropicAction):
+        # T, Tinv and pos hold field indices and orbit positions, all
+        # below 2^31; the numpy kernels take any integer index array
         ident = np.array(Mat3.identity(action.field).flat_indices,
-                         dtype=np.int64)[None]
+                         dtype=np.int32)[None]
         self.beta = beta
         self.gens = np.empty((0, action.degree), dtype=action.identity.dtype)
         self.mats = np.empty((0, 9), dtype=np.int64)
         self.orbit = np.array([beta], dtype=np.int64)
-        self.pos = np.full(action.degree, -1, dtype=np.int64)
+        self.pos = np.full(action.degree, -1, dtype=np.int32)
         self.pos[beta] = 0
         self.T = ident      # T[i] maps beta to orbit[i] (Schreier tree path)
         self.Tinv = ident   # adj(T[i]), which acts on points as T[i]^-1
-        self.pending = deque()  # unprocessed (orbit position, gen index)
+        self.pending = _PendingPairs()
 
     def add_gen(self, perm, mat, field: Field):
         gi = len(self.gens)
         self.gens = np.concatenate((self.gens, perm[None]))
         self.mats = np.concatenate((self.mats, mat[None]))
-        self.pending.extend(zip(range(len(self.orbit)), repeat(gi)))
+        self.pending.append(0, len(self.orbit), gi, gi + 1)
         self._grow(field)
 
     def _grow(self, field: Field):
@@ -223,16 +290,17 @@ class _Level:
             rows = matmul_np(field, parent_rows[parent],
                              self.mats[ng - width:][gen])
             n = len(self.orbit)
-            self.pos[new] = np.arange(n, n + len(new))
+            self.pos[new] = np.arange(n, n + len(new), dtype=np.int32)
             self.orbit = np.concatenate((self.orbit, new))
-            self.pending.extend(product(range(n, n + len(new)), range(ng)))
+            self.pending.append(n, n + len(new), 0, ng)
             layers.append(rows)
             images, width = self.gens[:, new].T.ravel(), ng
             parent_rows = rows
         if layers:
             rows = np.concatenate(layers)
-            self.T = np.concatenate((self.T, rows))
-            self.Tinv = np.concatenate((self.Tinv, adjugate_np(field, rows)))
+            self.T = np.concatenate((self.T, rows), dtype=np.int32)
+            self.Tinv = np.concatenate(
+                (self.Tinv, adjugate_np(field, rows)), dtype=np.int32)
 
 
 class StabilizerChain:
@@ -263,12 +331,15 @@ class StabilizerChain:
     inputs lie in SU3(q), and scalar factors never matter; that is why
     adj(T) = det(T) T^-1 can stand for the inverse of T.
 
-    Batched sifts.  _drain takes up to SIFT_BATCH pending pairs off the
-    deepest level at once and sifts all their Schreier generators against
-    the same chain, level by level, as numpy arrays.  The first pair, in
-    deque order, whose residue is not scalar is installed exactly as a
-    sequential drain would install it, and the pairs after it go back to
-    the front of the deque.  Every pair before it sifted to a scalar,
+    Batched sifts.  Each level keeps its pending pairs as runs of
+    (orbit position, generator index), in the order a sequential drain
+    would visit them (_PendingPairs).  _drain reads the first SIFT_BATCH
+    pending pairs of the deepest level as two index arrays and sifts all
+    their Schreier generators against the same chain, level by level, as
+    numpy arrays.  The first pair, in pending order, whose residue is not
+    scalar is installed exactly as a sequential drain would install it;
+    it and the pairs before it are removed, and the pairs after it stay
+    at the front, in order.  Every pair before it sifted to a scalar,
     which a sequential drain consumes without changing anything, so
     pending order, parents, base, orbit lengths and the stop below are
     those of the sequential drain, whatever the batch size.
@@ -370,22 +441,16 @@ class StabilizerChain:
             if lvl is None:
                 return
             level = self.levels[lvl]
-            pending = level.pending
-            batch = [pending.popleft()
-                     for _ in range(min(SIFT_BATCH, len(pending)))]
-            a, gi = np.fromiter(chain.from_iterable(batch), np.int64,
-                                2 * len(batch)).reshape(-1, 2).T
+            a, gi = level.pending.head(SIFT_BATCH)
             # the Schreier generator T[a] g T[c]^-1 with c = orbit[a]^g,
             # which is in the orbit: level lvl never fails
             c = level.pos[level.gens[gi, level.orbit[a]]]
             rows = matmul_np(self.field, matmul_np(
                 self.field, level.T[a], level.mats[gi]), level.Tinv[c])
             failure = self._sift(rows, lvl + 1)
-            if failure is None:
-                continue
-            k, residue, l2 = failure
-            pending.extendleft(reversed(batch[k + 1:]))
-            if self._extend(residue, l2):
+            # the pairs after a failure stay pending, in order
+            level.pending.drop(len(a) if failure is None else failure[0] + 1)
+            if failure is not None and self._extend(*failure[1:]):
                 return
 
     def order(self) -> int:

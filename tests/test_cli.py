@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from psu3grr import cli
+from psu3grr import cli, grouporder
 from psu3grr.cli import (EXIT_OK, EXIT_REFUSED, EXIT_STAGE_FAILED, RunConfig,
                          VERDICT_STAGES, _close_stages, certificate_hash,
                          main, run_certify, run_negative_control_q3)
@@ -71,27 +71,48 @@ def test_certificates_are_deterministic():
 
 
 def test_order_gate_for_large_degree():
-    # q = 41 has permutation degree 68922, above the default gate
-    cert, code = run_certify(RunConfig(41, 1))
+    # q = 67 has permutation degree 300764, above the default gate
+    cert, code = run_certify(RunConfig(67, 1))
     assert code == EXIT_STAGE_FAILED
     assert cert["verdict"] == "FAILED"
     assert "allow-large-order" in cert["detail"]
     assert cert["failed_stage"] == "order"
 
 
-def test_order_degree_gate_refuses_q49(capsys):
-    # q = 49 has permutation degree 117650; the refusal keeps the stages
+def test_order_degree_gate_refuses_q67(capsys):
+    # q = 67 has permutation degree 300764; the refusal keeps the stages
     # that passed and names the one that stopped
-    code = main(["certify", "--p", "7", "--f", "2"])
+    code = main(["certify", "--p", "67", "--f", "1"])
     assert code == EXIT_STAGE_FAILED
     cert = json.loads(capsys.readouterr().out)
     assert cert["verdict"] == "FAILED"
     assert cert["stages_run"] == ["search", "construct"]
     assert all(cert["stages"][s]["status"] == "pass" for s in cert["stages_run"])
     assert "allow-large-order" in cert["detail"]
-    assert "permutation degree 117650" in cert["detail"]
+    assert "permutation degree 300764" in cert["detail"]
     assert cert["failed_stage"] == "order"
     assert cert["certificate_hash"] == certificate_hash(cert)
+
+
+@pytest.mark.parametrize("p,f,pairs", [(5, 1, 785), (2, 3, 553),
+                                       (13, 1, 604), (2, 4, 20890)])
+def test_order_stage_schreier_pair_counts(p, f, pairs, monkeypatch):
+    """Schreier pairs sifted over both chains of the order stage: every
+    pair a level has had, |orbit| |gens|, less those left pending at the
+    stop.  perfbench/tracer.py reports this sum as
+    grouporder.schreier_pairs."""
+    chains = []
+    chain_init = grouporder.StabilizerChain.__init__
+
+    def capture(self, *args, **kwargs):
+        chain_init(self, *args, **kwargs)
+        chains.append(self)
+    monkeypatch.setattr(grouporder.StabilizerChain, "__init__", capture)
+    _, code = run_certify(RunConfig(p, f, stages=("order",)))
+    assert code == EXIT_OK
+    assert len(chains) == 2
+    assert sum(len(lv.orbit) * len(lv.gens) - len(lv.pending)
+               for chain in chains for lv in chain.levels) == pairs
 
 
 def test_graph_vertex_gate_names_the_stage():
@@ -133,11 +154,12 @@ VERDICT_HASHES = {
     27: "28a8f92ea530b366fb52d5a15fe3d81556d22a169d2f48856dad36d8e95accfe",
     32: "76ad14ad5176d5330eb7bc5cefe5ea24588deacd40bb0ac3925ebd72a0db0d4a",
     37: "38eb2f82fd414f624f61ba593ebc639be9b578fbc6000cfdc126bfb354599d96",
+    49: "e7ae0c9ce7655f0f092d65bcb113f95a2ea07eb66ab563068ee5534b97e13621",
 }
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
-                                 (11, 1), (3, 3), (2, 5), (37, 1)])
+                                 (11, 1), (3, 3), (2, 5), (37, 1), (7, 2)])
 def test_verdict_certificates_are_pinned(p, f):
     cert, code = run_certify(RunConfig(p, f))
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
 """Isotropic geometry, the permutation action, and the order certificates."""
 
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from itertools import product
@@ -520,6 +521,72 @@ def test_chain_does_not_depend_on_the_batch_size(p, f, batch, monkeypatch):
     default = _levels(_matrix_chain(act, t.matrices, bound))
     monkeypatch.setattr(grouporder, "SIFT_BATCH", batch)
     assert _levels(_matrix_chain(act, t.matrices, bound)) == default
+
+
+def test_pending_runs_match_a_deque_of_pairs():
+    """_PendingPairs against a plain deque of pairs, driven through the
+    same appends and batch takes.  A take reads the first n pairs; the
+    first `used` of them are removed and the rest stay at the front, as
+    when the deque pops the batch and pushes the unused tail back."""
+    runs = grouporder._PendingPairs()
+    oracle = deque()
+    steps = [
+        ("append", 0, 3, 0, 1),    # width 1
+        ("append", 0, 0, 0, 2),    # empty: no positions
+        ("append", 3, 7, 0, 3),
+        ("append", 2, 5, 1, 1),    # empty: no generators
+        ("take", 5, 5),            # ends mid-row
+        ("take", 4, 1),            # the rest of that row, then one more
+        ("take", 7, 3),
+        ("append", 7, 9, 1, 4),
+        ("append", 9, 10, 2, 3),   # one pair
+        ("take", 100, 2),          # more than are pending
+        ("take", 3, 3),            # exactly a row
+        ("take", 1, 1),
+        ("take", 100, 100),
+        ("append", 10, 12, 0, 2),
+        ("take", 3, 0),            # nothing used
+        ("take", 2, 2),            # leaves one whole row
+        ("take", 3, 1),
+        ("take", 2, 1),
+    ]
+    for step in steps:
+        if step[0] == "append":
+            a0, a1, g0, g1 = step[1:]
+            stored = len(runs.runs)
+            runs.append(a0, a1, g0, g1)
+            oracle.extend(product(range(a0, a1), range(g0, g1)))
+            if a0 >= a1 or g0 >= g1:
+                assert len(runs.runs) == stored
+        else:
+            n, used = step[1:]
+            batch = [oracle.popleft() for _ in range(min(n, len(oracle)))]
+            used = min(used, len(batch))
+            oracle.extendleft(reversed(batch[used:]))
+            a, g = runs.head(n)
+            assert a.dtype == g.dtype == np.int64
+            assert list(zip(a.tolist(), g.tolist())) == batch
+            runs.drop(used)
+        assert len(runs) == len(oracle)
+        assert list(runs) == list(oracle)
+    assert not runs and not runs.runs
+
+
+def test_generation_chain_memory_is_bounded():
+    """The bounded chain at q = 27 stops with about 200 000 Schreier pairs
+    pending; held as runs they take a few tuples, where one tuple per pair
+    took about 20 MiB more."""
+    F = field(3, 3)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    tracemalloc.start()
+    try:
+        cert = group_order(t, act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.order == expected_group_order(F.q)
+    assert peak < 24 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (2, 3), (3, 2)])
