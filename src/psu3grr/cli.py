@@ -72,10 +72,10 @@ VERDICT_STAGES = ("search", "construct", "order", "irreducible", "aut")
 STAGE_RUN_ORDER = ("search", "construct", "order", "irreducible", "aut", "graph")
 
 # order certification above this permutation degree needs an explicit flag;
-# every q <= 64 (degree <= 262 145) certifies in at most about 5 s and
-# 270 MB, and the next supported q, 67 (degree 300 764), is the first one
-# refused
-ORDER_DEGREE_GATE = 270000
+# every q <= 128 (degree <= 2 097 153) certifies in at most about 15 s and
+# 900 MB, and the next supported q, 131 (degree 2 248 092), is the first
+# one refused
+ORDER_DEGREE_GATE = 2100000
 
 
 class InternalInconsistency(RuntimeError):

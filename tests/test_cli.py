@@ -71,31 +71,32 @@ def test_certificates_are_deterministic():
 
 
 def test_order_gate_for_large_degree():
-    # q = 67 has permutation degree 300764, above the default gate
-    cert, code = run_certify(RunConfig(67, 1))
+    # q = 131 has permutation degree 2248092, above the default gate
+    cert, code = run_certify(RunConfig(131, 1))
     assert code == EXIT_STAGE_FAILED
     assert cert["verdict"] == "FAILED"
     assert "allow-large-order" in cert["detail"]
     assert cert["failed_stage"] == "order"
 
 
-def test_order_degree_gate_refuses_q67(capsys):
-    # q = 67 has permutation degree 300764; the refusal keeps the stages
+def test_order_degree_gate_refuses_q131(capsys):
+    # q = 131 has permutation degree 2248092; the refusal keeps the stages
     # that passed and names the one that stopped
-    code = main(["certify", "--p", "67", "--f", "1"])
+    code = main(["certify", "--p", "131", "--f", "1"])
     assert code == EXIT_STAGE_FAILED
     cert = json.loads(capsys.readouterr().out)
     assert cert["verdict"] == "FAILED"
     assert cert["stages_run"] == ["search", "construct"]
     assert all(cert["stages"][s]["status"] == "pass" for s in cert["stages_run"])
     assert "allow-large-order" in cert["detail"]
-    assert "permutation degree 300764" in cert["detail"]
+    assert "permutation degree 2248092" in cert["detail"]
     assert cert["failed_stage"] == "order"
     assert cert["certificate_hash"] == certificate_hash(cert)
 
 
-@pytest.mark.parametrize("p,f,pairs", [(5, 1, 785), (2, 3, 553),
-                                       (13, 1, 604), (2, 4, 20890)])
+@pytest.mark.parametrize("p,f,pairs", [(5, 1, 152), (2, 3, 271),
+                                       (13, 1, 371), (2, 4, 402),
+                                       (47, 1, 1922)])
 def test_order_stage_schreier_pair_counts(p, f, pairs, monkeypatch):
     """Schreier pairs sifted over both chains of the order stage: every
     pair a level has had, |orbit| |gens|, less those left pending at the

@@ -16,13 +16,19 @@ from psu3grr.grouporder import (DegenerateActionError, IsotropicAction,
                                 commutant_dimension,
                                 dihedral_image_order, expected_group_order,
                                 group_order, invariant_subspace_test)
-from psu3grr.mat3 import Mat3, is_special_unitary, standard_hermitian_form
+from psu3grr.mat3 import (Mat3, is_special_unitary, standard_hermitian_form,
+                          vecmat_np)
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the size^2 point scan and the Schreier-Sims chain on permutation
-# arrays that the matrix chain replays
+# Oracles: the size^2 point scan, the point lookup by key search, and the
+# Schreier-Sims chain on permutation arrays that the matrix chain replays
 # ---------------------------------------------------------------------------
+
+def _point_key(F, pts):
+    """Rows of three field indices packed into one integer, in row order."""
+    return (pts[..., 0] * F.size + pts[..., 1]) * F.size + pts[..., 2]
+
 
 def _scanned_point_matrix(F):
     """Every normalized [0, 0, 1], [0, 1, x], [1, x, y] on which the form
@@ -46,8 +52,21 @@ def _scanned_point_matrix(F):
     candidates = [np.array([[0, 0, one]]), np.stack([zeros, ones, x], 1),
                   np.stack([np.full_like(xx, one), xx, yy], 1)]
     pts = np.concatenate([c[form(*c.T) == 0] for c in candidates])
-    keys = (pts[:, 0] * F.size + pts[:, 1]) * F.size + pts[:, 2]
-    return pts[np.argsort(keys)]
+    return pts[np.argsort(_point_key(F, pts))]
+
+
+def _searched_locate(action, w):
+    """Point indices of the rows w (N, 3): each row scaled to a leading 1
+    and its key binary-searched among the sorted keys of the points."""
+    F = action.field
+    lead = np.where(w[:, 0] != 0, w[:, 0],
+                    np.where(w[:, 1] != 0, w[:, 1], w[:, 2]))
+    assert lead.all()
+    keys = _point_key(F, F.mul_np(w, F.inv_np(lead)[:, None]))
+    known = _point_key(F, action.point_matrix)
+    pos = np.searchsorted(known, keys)
+    assert (known.take(pos, mode="clip") == keys).all()
+    return pos
 
 
 def _compose(a, b):
@@ -161,11 +180,11 @@ class PermChain:
             busy = [li for li, lv in enumerate(self.levels) if lv.pending]
             if not busy:
                 return
-            level = self.levels[busy[-1]]
+            level = self.levels[busy[0]]
             a_pos, gi = level.pending.popleft()
             w = _compose(level.transversal(level.orbit[a_pos]),
                          level.gens[gi])
-            residue, l2 = self._sift(w, busy[-1])
+            residue, l2 = self._sift(w, busy[0])
             if not np.array_equal(residue, self.identity) \
                     and self._extend(residue, l2):
                 return
@@ -260,6 +279,47 @@ def test_point_enumeration_matches_the_full_scan(p, f):
     F = field(p, f)
     assert np.array_equal(IsotropicAction(F).point_matrix,
                           _scanned_point_matrix(F))
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (2, 3), (3, 2), (2, 4),
+                                 (5, 2)])
+def test_locate_matches_the_key_search(p, f):
+    """The gather lookup equals the key search on the images of every point
+    under X, Y, Z and some products, as computed and with each row scaled
+    by a random nonzero scalar, at q = 4, 5, 8, 9, 16 and 25."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    X, Y, Z = build_triple(search_params(F)).matrices
+    rng = np.random.default_rng(p * 100 + f)
+    for m in (X, Y, Z, X * Y, Y * Z, X * Y * Z, Z * X * Y * X):
+        m = np.array(m.flat_indices, dtype=np.int64).reshape(3, 3)
+        images = vecmat_np(F, act.point_matrix, m)
+        scale = rng.integers(1, F.size, len(images))
+        for w in (images, F.mul_np(images, scale[:, None])):
+            got = act._locate(w)
+            assert np.array_equal(got, _searched_locate(act, w))
+            assert np.array_equal(np.sort(got), act.identity)
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 2)])
+def test_locate_rejects_rows_off_the_point_set(p, f):
+    """A zero row, a [0, 1, x] row and a non-isotropic [1, x, y] row each
+    raise, alone or after valid rows."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    one = F.one.index
+    points = {tuple(r) for r in act.point_matrix.tolist()}
+    outside = next([one, x, y] for x in range(F.size)
+                   for y in range(F.size) if (one, x, y) not in points)
+    valid = act.point_matrix[:5]
+    for row, message in [([0, 0, 0], "maps a point representative to zero"),
+                         ([0, one, 0], "does not preserve the isotropic"),
+                         ([0, one, F.size - 1],
+                          "does not preserve the isotropic"),
+                         (outside, "does not preserve the isotropic")]:
+        for w in (np.array([row]), np.vstack((valid, row))):
+            with pytest.raises(ValueError, match=message):
+                act._locate(w)
 
 
 def test_action_is_a_homomorphism():
@@ -468,9 +528,11 @@ def test_irreducibility_checks_on_tested_triples():
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
-                                 (11, 1), (13, 1)])
+                                 (11, 1), (13, 1), (2, 4), (5, 2)])
 def test_bounded_chain_matches_full_drain(p, f):
-    """Stopping at |PSU3(q)| leaves base, orbit lengths and order unchanged."""
+    """Stopping at |PSU3(q)| leaves base, orbit lengths and order unchanged,
+    at q = 4 to 25: the chain the shallowest-first drain stops on is the
+    complete one."""
     F = field(p, f)
     act = IsotropicAction(F)
     t = build_triple(search_params(F))
@@ -573,7 +635,7 @@ def test_pending_runs_match_a_deque_of_pairs():
 
 
 def test_generation_chain_memory_is_bounded():
-    """The bounded chain at q = 27 stops with about 200 000 Schreier pairs
+    """The bounded chain at q = 27 stops with about 280 000 Schreier pairs
     pending; held as runs they take a few tuples, where one tuple per pair
     took about 20 MiB more."""
     F = field(3, 3)
