@@ -5,46 +5,53 @@ identity under left multiplication by {X, Y, Z} enumerates the group
 deterministically (the identity gets index 0) and yields the undirected
 edges {g, sg} at the same time.
 
-Each element g is keyed by where it sends a projective frame.  The frame
-f1, ..., f4 is four points of `IsotropicAction.point_matrix`, no three
+Each element g is keyed by where it sends three isotropic points.  The
+points f1, f2, f3 are points of `IsotropicAction.point_matrix`, not
 collinear (`frame_points`), and the key of g is the point indices of
-g f1, ..., g f4, with g acting on column vectors.  The key identifies the
+g f1, g f2, g f3, with g acting on column vectors.  The key identifies the
 element:
 
 * SU3(q) meets the scalars exactly in its center, so PSU3(q) embeds in
   PGL3(q^2): g and h are the same element of PSU3(q) exactly when h^-1 g
   is scalar.
-* A matrix M that fixes the four frame points is scalar.  Write
-  f4 = a f1 + b f2 + c f3; a, b and c are nonzero because no three frame
-  points are collinear.  M fi = li fi for each i gives
-  a l1 f1 + b l2 f2 + c l3 f3 = l4 (a f1 + b f2 + c f3), so l1 = l2 = l3 = l4.
-* Hence g and h have the same key exactly when h^-1 g fixes the frame,
-  that is when they are the same vertex.  Center multiples share a key, so
-  no minimum over the center is taken.  Should a key ever collide all the
-  same, the closure finds fewer elements than |PSU3(q)|, and
+* Distinct isotropic points are never orthogonal: the unitary 3-space has
+  Witt index 1, so it holds no totally isotropic plane.  Hence
+  h(fi, fj) != 0 for i != j, with h the Hermitian form.
+* A unitary matrix M that fixes f1, f2 and f3 is scalar.  They are a
+  basis, as they are not collinear, and M fi = li fi makes M diag(l1, l2,
+  l3) in it.  M preserves the form, so h(fi, fj) = li^q lj h(fi, fj), and
+  li^q lj = 1 for every i != j.  From l1^q l2 = 1 = l3^q l2 follows
+  l1^q = l3^q, so l1 = l3 as the Frobenius map is injective; likewise
+  l1^q l3 = 1 = l2^q l3 gives l1 = l2.
+* Hence g and h have the same key exactly when h^-1 g fixes the three
+  points, that is when they are the same vertex.  Center multiples share a
+  key, so no minimum over the center is taken.  Should a key ever collide
+  all the same, the closure finds fewer elements than |PSU3(q)|, and
   `build_graph` raises.
 
 Left multiplication is then a gather: the column action preserves the
 isotropic points (s^H W s = W), and the point index of s v is P_s[index of
 v] for P_s = `IsotropicAction.permutation(s.transpose())`, since the row
 action v -> v s^T is the transpose of v -> s v.  So key(s g) = P_s[key(g)],
-four permutation gathers per child and no field arithmetic.  A key is packed
-into one int64 in base q^3 + 1, which holds for q <= 38.
+three permutation gathers per child and no field arithmetic.  A key is
+packed into one int64 in base q^3 + 1.
 
 The closure runs one BFS level at a time on numpy arrays:
 
-* A level is a (4, F) array of the keys of its vertices.  The children
+* A level is a (3, F) array of the keys of its vertices.  The children
   s * g for s = X, Y, Z are formed in (parent, generator) order,
   parent-major.
-* The 3F child keys of a level (F vertices) are sorted once with
-  `np.argsort`.  A run of equal keys is one vertex, and its positions are
-  exactly the (parent, generator) columns where it appears, so it first
-  appears at the smallest position in its run (`np.minimum.reduceat`).
-  The sort need not be stable: the runs, the sorted distinct keys and the
-  minima are the same whatever order ties come in.  So are the level's
-  edges: each child gets its run's id, and its parent is read off its
-  position (parent start + position // 3), and the edges are sorted at
-  the end anyway.
+* The 3F child values key << s | position, with s = bit_length(3F - 1),
+  are sorted once, by value.  Their low bits give the sorting permutation.
+  A run of equal keys is one vertex, and its positions are exactly the
+  (parent, generator) columns where it appears, in increasing order, so
+  the run's head is its first appearance.  No two values are equal, so
+  there are no ties whose order could matter.  Each child gets its run's
+  id, and its parent is read off its position (parent start + position //
+  3); the edges are sorted at the end anyway.  The value must fit in an
+  int64: at q = MAX_KEY_Q = 11 a key is below 1332^3 < 2^31.2 and a
+  position below 3n < 2^27.7, so values stay under 2^59; `_bfs` checks the
+  bound for the order it is given before the first level.
 * The distinct keys are matched against the keys of the previous and the
   current level, each held sorted with its vertex ids: `searchsorted`
   places every known key among the distinct keys, and as both sides are
@@ -56,10 +63,11 @@ The closure runs one BFS level at a time on numpy arrays:
   L - 1, L or L + 1.  The keys not found there form level L + 1; they are
   in sorted order already, so that level's sorted keys cost no sort.
 * The new vertices are numbered in the order of their first appearance in
-  the (parent, generator) sequence, and the next frontier takes their
-  columns in that order.  That is the numbering of the sequential
-  BFS (pop vertices in index order, try X, Y, Z, number each unseen element
-  next): it numbers levels in turn, since a FIFO queue holds every vertex
+  the (parent, generator) sequence (one more value sort, of first
+  appearance << bits | run, as first appearances are distinct), and the
+  next frontier takes their columns in that order.  That is the numbering
+  of the sequential BFS (pop vertices in index order, try X, Y, Z, number
+  each unseen element next): it numbers levels in turn, since a FIFO queue holds every vertex
   of level L before any of level L + 1, and within level L + 1 it numbers
   each vertex when it first appears as a child in that same sequence.  So
   edges and every export are the same as the sequential BFS's.
@@ -110,11 +118,11 @@ def _pack(cols: np.ndarray, base: int) -> np.ndarray:
 
 
 def frame_points(action: IsotropicAction) -> tuple[int, ...]:
-    """The first four isotropic points, in point order, no three collinear.
+    """The first three isotropic points, in point order, not collinear.
 
-    Each point is taken greedily unless it lies on a line through two points
-    already taken.  One always exists: a line holds at most q + 1 isotropic
-    points, and three lines miss some of the q^3 + 1.
+    Each point is taken greedily unless it lies on the line through the two
+    points already taken.  One always exists: a line holds at most q + 1
+    isotropic points, fewer than the q^3 + 1.
     """
     fld = action.field
     rows = action.point_matrix.tolist()
@@ -123,9 +131,9 @@ def frame_points(action: IsotropicAction) -> tuple[int, ...]:
         if all(Mat3.from_flat_indices(fld, rows[j] + rows[k] + row).det()
                for j, k in combinations(frame, 2)):
             frame.append(i)
-            if len(frame) == 4:
+            if len(frame) == 3:
                 return tuple(frame)
-    raise AssertionError("no projective frame among the isotropic points")
+    raise AssertionError("every isotropic point is on one line")
 
 
 @dataclass
@@ -152,11 +160,18 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
     """Sorted (m, 2) edges of the level-synchronous closure; see the module
     doc."""
     perms = [action.permutation(s.transpose()) for s in t.matrices]
+    base = action.degree
+    # a level's values key << shift | position must fit in an int64
+    if ((base ** 3 - 1).bit_length()
+            + (len(perms) * expected_order - 1).bit_length() > 63):
+        raise GraphSizeError(
+            f"q = {action.field.q}: packed BFS keys of {expected_order} "
+            "vertices overflow an int64")
     frontier = np.array(frame_points(action), dtype=perms[0].dtype)[:, None]
     # the previous and the current level: their keys, sorted, with the
     # vertex ids alongside
     known = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
-             (_pack(frontier, action.degree), np.zeros(1, dtype=np.int64))]
+             (_pack(frontier, base), np.zeros(1, dtype=np.int64))]
     # edges packed as u << 32 | v: every vertex is a parent once and keeps
     # the edges to its larger neighbours, 3n/2 in all on a cubic graph
     packed = np.empty(len(perms) * expected_order // 2, dtype=np.int64)
@@ -166,13 +181,18 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
     while frontier.shape[1]:
         # columns in (parent, generator) order, parent-major
         children = np.stack([perm.take(frontier) for perm in perms],
-                            axis=2).reshape(4, -1)
+                            axis=2).reshape(len(frontier), -1)
         del frontier
-        keys = _pack(children, action.degree)
-        # sort the children by key: each run of equal keys is one vertex,
-        # which first appears at the smallest position in its run
-        sort = np.argsort(keys)
-        keys = keys[sort]
+        # sort key << shift | position by value: the low bits give the
+        # permutation, and each run of equal keys is one vertex, whose head
+        # is its first appearance
+        shift = (children.shape[1] - 1).bit_length()
+        keys = _pack(children, base)
+        keys <<= shift
+        keys |= np.arange(children.shape[1])
+        keys.sort()
+        sort = keys & ((1 << shift) - 1)
+        keys >>= shift
         head = np.empty(len(keys), dtype=bool)
         head[0] = True
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
@@ -180,7 +200,7 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         del head
         unique = keys[starts]
         del keys
-        first = np.minimum.reduceat(sort, starts)
+        first = sort[starts]
         # look each vertex up among the previous and the current level
         ids = np.full(len(unique), -1, dtype=np.int64)
         for level_keys, level_ids in known:
@@ -189,14 +209,20 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
             hit = unique[pos] == level_keys
             ids[pos[hit]] = level_ids[hit]
             del pos, hit
-        # number the new vertices by first appearance
+        # number the new vertices by first appearance: sort first << bits
+        # | run by value, as the first appearances are distinct
         new = np.flatnonzero(ids < 0)
-        by_first = new[np.argsort(first[new])]
-        ids[by_first] = np.arange(n, n + len(new))
+        bits = (len(unique) - 1).bit_length()
+        order = first[new]
+        order <<= bits
+        order |= new
+        order.sort()
+        ids[order & ((1 << bits) - 1)] = np.arange(n, n + len(new))
         known = [known[1], (unique[new], ids[new])]
         # the (parent, generator) column each new vertex first appeared in
-        frontier = children[:, first[by_first]]
-        del children, unique, first, new, by_first
+        order >>= bits
+        frontier = children[:, order]
+        del children, unique, first, new, order
         # the edges in key order: every child in a run gets the run's id,
         # and the child at position i has the parent start + i // 3
         idx = np.repeat(ids, np.diff(starts, append=len(sort)))
@@ -251,19 +277,28 @@ def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:
     """Each value in decimal followed by its separator byte.
 
     A value of -1 writes its separator alone (an empty adjacency line).
+    Values are vertex ids, below 2^31 for every q <= MAX_KEY_Q, so digits
+    are computed in int32.  Row r of the (width + 1, N) buffer holds digit
+    r of every value, most significant first, and its last row the
+    separators; the bytes come out value by value through its transpose,
+    without leading zeros.
     """
     width = len(str(max(int(values.max(initial=0)), 0)))
-    buf = np.empty((len(values), width + 1), dtype=np.uint8)
-    rest = np.maximum(values, 0)
-    ndigits = np.where(values < 0, 0, 1)
-    for col in range(width - 1, -1, -1):
-        buf[:, col] = 48 + rest % 10
-        rest //= 10
-        if col:
-            ndigits += values >= 10 ** (width - col)
-    buf[:, width] = seps
-    keep = np.arange(width + 1) >= width - ndigits[:, None]
-    return buf[keep].tobytes()
+    rest = np.maximum(values, 0).astype(np.int32)
+    quot = np.empty_like(rest)
+    buf = np.empty((width + 1, len(values)), dtype=np.uint8)
+    for row in range(width - 1, -1, -1):
+        np.floor_divide(rest, 10, out=quot)
+        rest -= 10 * quot
+        np.add(rest, 48, out=buf[row], casting="unsafe")
+        rest, quot = quot, rest
+    buf[width] = seps
+    # digit r is written when value >= 10^(width - 1 - r), the last digit
+    # when value >= 0, and the separator always
+    low = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
+    low[-1] = 0
+    keep = values.astype(np.int32) >= np.append(low, -1)[:, None]
+    return buf.T[keep.T].tobytes()
 
 
 def _token_chunks(values: np.ndarray, seps: np.ndarray):

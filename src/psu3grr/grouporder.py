@@ -55,6 +55,10 @@ from .mat3 import (Mat3, adjugate_np, intertwiner_np, is_special_unitary,
 
 # Schreier pairs that _drain sifts together against one chain
 SIFT_BATCH = 512
+# Points per `IsotropicAction.permutation` block: every q <= 37 (degree
+# 50 654) is one block, and larger degrees keep the (block, 3, 3) products
+# at a few MB.
+PERM_BLOCK = 1 << 16
 
 
 class DegenerateActionError(RuntimeError):
@@ -157,10 +161,15 @@ class IsotropicAction:
         return pos
 
     def permutation(self, mat: Mat3) -> np.ndarray:
-        """Permutation array of the point indices under v -> v * M."""
+        """Permutation array of the point indices under v -> v * M,
+        computed PERM_BLOCK points at a time."""
         m = np.array(mat.flat_indices, dtype=np.int64).reshape(3, 3)
-        images = vecmat_np(self.field, self.point_matrix, m)
-        return self._locate(images).astype(self._dtype)
+        perm = np.empty(self.degree, dtype=self._dtype)
+        for lo in range(0, self.degree, PERM_BLOCK):
+            block = self.point_matrix[lo:lo + PERM_BLOCK]
+            perm[lo:lo + PERM_BLOCK] = self._locate(
+                vecmat_np(self.field, block, m))
+        return perm
 
     def images(self, point: int, mats) -> np.ndarray:
         """Indices of the images of one point under each of the stacked

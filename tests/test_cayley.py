@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,33 +121,20 @@ def test_graph_build_memory_is_bounded():
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
-def test_bfs_numbering_ignores_tie_order(p, f, monkeypatch):
-    """The edges are the same whether the child keys' sort puts equal keys
-    in the default order, in position order (stable) or in reverse
-    position order."""
+def test_bfs_numbering_ignores_the_key_points(p, f, monkeypatch):
+    """The edges are the same when the vertices are keyed by another
+    non-collinear triple of isotropic points: the one `frame_points` takes
+    from the end of the point order."""
     F = field(p, f)
     t = build_triple(search_params(F))
     action = IsotropicAction(F)
     order = expected_group_order(F.q)
     default = cayley._bfs(t, action, order)
-    argsort = np.argsort
-    calls = []
-
-    def stable(a):
-        calls.append(len(a))
-        return argsort(a, kind="stable")
-
-    def reversed_ties(a):
-        calls.append(len(a))
-        return len(a) - 1 - argsort(a[::-1], kind="stable")
-
-    for sort in (stable, reversed_ties):
-        monkeypatch.setattr(cayley.np, "argsort", sort)
-        edges = cayley._bfs(t, action, order)
-        monkeypatch.setattr(cayley.np, "argsort", argsort)
-        assert np.array_equal(edges, default), sort.__name__
-    # the patched sorts ran, on levels of tens of thousands of children
-    assert max(calls) >= 3 * 10 ** 4
+    reverse = SimpleNamespace(field=F, point_matrix=action.point_matrix[::-1])
+    other = tuple(action.degree - 1 - i for i in frame_points(reverse))
+    assert not set(other) & set(frame_points(action))
+    monkeypatch.setattr(cayley, "frame_points", lambda _: other)
+    assert np.array_equal(cayley._bfs(t, action, order), default)
 
 
 def test_right_translation_is_automorphism():
@@ -209,8 +197,8 @@ def test_connection_set_violations_are_rejected():
 
 
 def test_key_packing_limit_refuses_large_q():
-    # q = 13 has 8.1e8 vertices, past memory; up to q = 11 the frame keys
-    # (four point indices in base q^3 + 1) fit in an int64
+    # q = 13 has 8.1e8 vertices, past memory; up to q = 11 a key (three
+    # point indices in base q^3 + 1) and a child's position fit in an int64
     F = field(13, 1)
     t = build_triple(search_params(F))
     with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
@@ -218,8 +206,17 @@ def test_key_packing_limit_refuses_large_q():
     with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
         build_graph(t, expected_group_order(13), allow_large=True)
     F11 = field(11, 1)
-    assert (11 ** 3 + 1) ** 4 < 2 ** 63
+    assert (((11 ** 3 + 1) ** 3 - 1).bit_length()
+            + (3 * expected_group_order(11) - 1).bit_length()) <= 63
     check_graph_gate(F11, expected_group_order(11), allow_large=True)
+
+
+def test_bfs_refuses_values_past_int64():
+    F = field(2, 2)
+    t = build_triple(search_params(F))
+    # 19 key bits at q = 4, and positions of 46 bits
+    with pytest.raises(GraphSizeError, match="overflow"):
+        cayley._bfs(t, IsotropicAction(F), 2 ** 44)
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -230,13 +227,20 @@ def test_frame_points_are_isotropic_and_in_general_position(p, f):
     action = IsotropicAction(F)
     frame = [[FieldElem(F, i) for i in action.point_matrix[k]]
              for k in frame_points(action)]
-    assert len(frame) == 4
+    assert len(frame) == 3
+
+    def form(u, v):
+        conj = [x.frobenius(F.f) for x in u]
+        return sum((conj[i] * W.entry(i, j) * v[j]
+                    for i in range(3) for j in range(3)), F.zero)
+
     for v in frame:
-        conj = [x.frobenius(F.f) for x in v]
-        assert sum((conj[i] * W.entry(i, j) * v[j]
-                    for i in range(3) for j in range(3)), F.zero).is_zero()
-    for rows in combinations(frame, 3):
-        assert not Mat3(F, rows).det().is_zero()
+        assert form(v, v).is_zero()
+    # distinct isotropic points are never orthogonal (Witt index 1), which
+    # the three-point key relies on
+    for u, v in combinations(frame, 2):
+        assert not form(u, v).is_zero()
+    assert not Mat3(F, frame).det().is_zero()
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
@@ -352,6 +356,28 @@ def test_enumerate_group_identity_is_index_zero():
     gen_idx = {key_index[canon(m.flat_indices)] for m in t.matrices}
     nbrs = {int(v) for u, v in g.edges if u == 0}
     assert nbrs == gen_idx == set(range(1, len(gen_idx) + 1))
+
+
+def _boundary_edges(top):
+    """Sorted edges among 0, 1, 2 and the ids 10^k - 2 .. 10^k + 1 for
+    10^k <= top, each joined to its successor and to a few far ids."""
+    ids = sorted({0, 1, 2}.union(*({10 ** k + d for d in (-2, -1, 0, 1)}
+                                   for k in range(1, len(str(top))))))
+    edges = {(u, v) for u, v in zip(ids, ids[1:])}
+    edges |= {(ids[i], ids[j]) for i in range(len(ids))
+              for j in range(i + 5, len(ids), 7)}
+    return sorted(edges), ids[-1] + 2
+
+
+@pytest.mark.parametrize("chunk", [cayley.EXPORT_CHUNK, 5])
+@pytest.mark.parametrize("fmt,top", [("edge-list", 10 ** 7),
+                                     ("adjacency", 10 ** 5)])
+def test_export_digits_cross_every_boundary(fmt, top, chunk, monkeypatch):
+    """Ids of every decimal width up to 8 digits (q = 7 ids have 7), the
+    adjacency format's empty lines, and chunks of mixed widths."""
+    edges, n = _boundary_edges(top)
+    monkeypatch.setattr(cayley, "EXPORT_CHUNK", chunk)
+    assert export_graph(_toy(n, edges), fmt) == _scalar_export(n, edges, fmt)
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])

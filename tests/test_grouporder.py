@@ -334,6 +334,23 @@ def test_action_is_a_homomorphism():
     assert np.array_equal(px[px], act.identity)
 
 
+@pytest.mark.parametrize("p,f,block", [(5, 1, 100), (7, 2, 1000)])
+def test_permutation_does_not_depend_on_the_block_size(p, f, block,
+                                                       monkeypatch):
+    """Smaller blocks, the last one short, give the default permutation at
+    q = 5 (degree 126, one block by default) and q = 49 (degree 117 650,
+    two blocks)."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    mats = build_triple(search_params(F)).matrices
+    default = [act.permutation(m) for m in mats]
+    monkeypatch.setattr(grouporder, "PERM_BLOCK", block)
+    for m, perm in zip(mats, default):
+        blocked = act.permutation(m)
+        assert blocked.dtype == perm.dtype == act.identity.dtype
+        assert np.array_equal(blocked, perm)
+
+
 @pytest.mark.parametrize("p,f", [(37, 1), (7, 2)])
 def test_action_beyond_q32(p, f):
     """The action at q = 37 and 49, fields of 1369 and 2401 elements."""
