@@ -15,12 +15,14 @@ invertible similitudes.  Any witness found is re-verified by direct
 multiplication before being reported.
 
 The systems are built and row-reduced on field element indices (see
-linalg), many queries' systems in one stack, from the Frobenius twists of
-X, Y, Z, the permuted targets and the centre scalars.  They are reduced
-one 9-row block at a time, and a system stops once its rank is 9: the
-only solution is then D = 0, which is not invertible, so the query has no
-conjugator (see _rank_deficient).  That is the answer for every query of
-a GRR triple; only a rank-deficient query has its nullspace scanned.
+linalg), many in one stack, from the Frobenius twists of X, Y, Z, the
+permuted targets and the centre scalars, one 9-row block per k.  The
+first k blocks of a query's system depend only on the prefix pi, i,
+c_1..c_k, so each prefix is reduced once and its basis serves every query
+that extends it.  A prefix stops once its rank is 9: the only solution is
+then D = 0, which is not invertible, so none of its queries has a
+conjugator (see _rank_deficient).  That is the answer for every query
+of a GRR triple; only a rank-deficient query has its nullspace scanned.
 
 A fast path re-evaluates the characteristic-polynomial separation
 conditions of the construction at the twist exponents an automorphism of
@@ -52,10 +54,11 @@ LINE_ENUM_LIMIT = 2_000_000
 
 NONTRIVIAL_PERMS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
-# queries of the aut sweep reduced in one stack.  It bounds the transient
-# arrays of the elimination (a few of up to Q x 18 x 9 int64), and a sweep
-# of at most this many queries (q = 13: 10, q = 16: 40) is a single stack,
-# so it pays the per-call cost of the elimination's numpy passes once
+# prefix systems of one level of the aut sweep reduced in one stack.  It
+# bounds the transient arrays of the elimination (a few of up to
+# 128 x 18 x 9 int64), and a level of at most this many systems (q = 5:
+# 30, q = 8: 90, q = 16: 40) is a single stack, so it pays the per-call
+# cost of the elimination's numpy passes once
 SWEEP_STACK = 128
 
 
@@ -219,23 +222,25 @@ def _rank_deficient(source, centers) -> np.ndarray:
     """Positions in the sweep of the queries whose system has rank below 9.
 
     The sweep runs over NONTRIVIAL_PERMS, then the twists i in 0..2f-1,
-    then itertools.product(centers, repeat=3), as aut_group_trivial does.
-    Block k of the system of (perm, i, scalars) is A_k^(phi^i) (x) I -
-    c_k I (x) B_k^T with B = source permuted (mat3.intertwiner_np), one of
-    5 x 2f x |centers| blocks made for each k from the twists of A_k, the
-    permuted targets and the centre scalars.
+    then itertools.product(centers, repeat=3), as aut_group_trivial does:
+    with C centres, query (perm, i, c0, c1, c2) is at position
+    ((perm . 2f + i) . C + c0) . C^2 + c1 . C + c2.  Its block k is
+    A_k^(phi^i) (x) I - c_k I (x) B_k^T with B = source permuted
+    (mat3.intertwiner_np).
 
-    The queries are reduced SWEEP_STACK at a time.  The blocks are reduced
-    one at a time, each stacked under the reduced basis of the blocks
-    before it, and only for the queries still below rank 9.  The reduced
-    echelon form of a row space is unique, so reducing the rows in stages,
-    or in one stack with other systems, gives the basis that reducing them
-    all at once would.  Stopping at rank 9 is sound: a basis of rank 9
-    spans all of GF(q^2)^9, which contains every later row, so no later
-    block can change the row space, and the only solution is D = 0, which
-    is not invertible.  Every system of a GRR triple's sweep stops there;
-    at q = 5, 8, 11 and 32, two thirds of them after the first block and
-    eight ninths after the second.
+    Blocks 0..k depend only on the prefix (perm, i, c0..ck), and so does
+    the reduced echelon basis of their rows, which is unique whatever the
+    order of the rows or the other systems of the stack.  So level k
+    reduces each prefix live after level k - 1 once per c_k, its basis
+    stacked over block k, SWEEP_STACK systems to a stack, and that basis
+    serves every query extending the prefix.  A prefix that reaches rank 9
+    is dropped, which settles all its queries: its basis spans GF(q^2)^9,
+    so no later row changes the row space, and the only solution is
+    D = 0, which is not invertible.  The prefixes live after block 2 are
+    the queries of rank below 9, in ascending order; for a GRR triple,
+    none.  For involutions only c_k = 1 keeps a prefix live, as
+    A'_k D = c D B_k has only D = 0 when the spectra +-1 and +-c are
+    disjoint; the code does not rely on it.
     """
     fld = source[0].field
     twists = np.array([[a.frobenius(i).flat_indices for a in source]
@@ -243,25 +248,29 @@ def _rank_deficient(source, centers) -> np.ndarray:
     targets = np.array([[source[j].flat_indices for j in perm]
                         for perm in NONTRIVIAL_PERMS])
     scalars = np.array([c.index for c in centers])
-    combos = np.array(list(itertools.product(range(len(centers)), repeat=3)))
+    n = len(centers)
     blocks = [intertwiner_np(fld, twists[None, :, None, k],
-                             targets[:, None, None, k], scalars)
+                             targets[:, None, None, k],
+                             scalars).reshape(-1, n, 9, 9)
               for k in range(3)]
-    shape = (len(targets), len(twists), len(combos))
-    total = len(targets) * len(twists) * len(combos)
-    deficient = []
-    for start in range(0, total, SWEEP_STACK):
-        live = np.arange(start, min(start + SWEEP_STACK, total))
-        basis = np.zeros((len(live), 0, 9), dtype=np.int64)
-        for k in range(3):
-            perm, twist, combo = np.unravel_index(live, shape)
-            block = blocks[k][perm, twist, combos[combo, k]]
-            reduced, rank = rref_np(np.concatenate([basis, block], axis=1),
-                                    fld)
+    live = np.arange(len(targets) * len(twists))
+    basis = np.zeros((len(live), 0, 9), dtype=np.int64)
+    for k in range(3):
+        ext = (live[:, None] * n + np.arange(n)).ravel()
+        # the empty heads keep the concatenations defined once no prefix
+        # is live (a source of non-involutions can get there before block 2)
+        kept, bases = [ext[:0]], [np.zeros((0, 9, 9), dtype=np.int64)]
+        for start in range(0, len(ext), SWEEP_STACK):
+            e = ext[start:start + SWEEP_STACK]
+            parent = np.arange(start, start + len(e)) // n
+            block = blocks[k][e // n ** (k + 1), e % n]
+            reduced, rank = rref_np(
+                np.concatenate([basis[parent], block], axis=1), fld)
             keep = rank < 9
-            live, basis = live[keep], reduced[keep, :9]
-        deficient.append(live)
-    return np.concatenate(deficient)
+            kept.append(e[keep])
+            bases.append(reduced[keep, :9])
+        live, basis = np.concatenate(kept), np.concatenate(bases)
+    return live
 
 
 def aut_group_trivial(t: GeneratorTriple,
@@ -286,21 +295,20 @@ def aut_group_trivial(t: GeneratorTriple,
     mats = t.matrices
     centers = su3_center_scalars(fld)
     names = [c.to_str() for c in centers]
+    combos = [(js, tuple(names[j] for j in js))
+              for js in itertools.product(range(len(centers)), repeat=3)]
     cert = AutCertificate(fast_path=fast_charpoly_check(t.params),
                           oracle_path=[], verdict="trivial")
     deficient = set(_rank_deficient(mats, centers).tolist())
-    queries = itertools.product(
-        NONTRIVIAL_PERMS, range(2 * fld.f),
-        itertools.product(range(len(centers)), repeat=3))
-    for n, (perm, i, js) in enumerate(queries):
+    queries = itertools.product(NONTRIVIAL_PERMS, range(2 * fld.f), combos)
+    for n, (perm, i, (js, combo_names)) in enumerate(queries):
         witness = None
         if n in deficient:
             target = tuple(mats[j] for j in perm)
             scalars = tuple(centers[j] for j in js)
             query = TwistedConjugacyQuery(mats, target, i, scalars)
             witness = solve_twisted_conjugacy(query)
-        entry = OracleEntry(perm, i, tuple(names[j] for j in js),
-                            witness is not None)
+        entry = OracleEntry(perm, i, combo_names, witness is not None)
         cert.oracle_path.append(entry)
         cert.queries += 1
         if witness is not None and cert.witness is None:

@@ -139,8 +139,9 @@ def test_degenerate_triple_has_nontrivial_symmetry():
 
 
 def test_sweep_memory_is_bounded():
-    """The q = 8 sweep (810 queries) reduces its systems one permutation
-    and one block at a time, so its allocations stay small."""
+    """The q = 8 sweep (810 queries) reduces shared block prefixes a
+    level at a time, at most SWEEP_STACK systems to a stack, so its
+    allocations stay small."""
     F, cp, t = _pipeline(2, 3)
     cert_g = group_order(t)
     aut_group_trivial(t, cert_g)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from psu3grr import autcheck
 from psu3grr.autcheck import (NONTRIVIAL_PERMS, TwistedConjugacyQuery,
                               _rank_deficient, intertwiner_rows)
 from psu3grr.construct import GeneratorTriple, build_triple, search_params
@@ -213,24 +214,55 @@ def test_rank_deficient_systems_match_reference(p, f):
 
 
 def _staged_and_full(t):
-    """Rank-deficient queries of the sweep, block-staged and from full
-    27-row reductions, as position sets in sweep order."""
+    """Rank-deficient query positions of the sweep, prefix-shared and from
+    full 27-row reductions (ascending, from flatnonzero)."""
     staged = _rank_deficient(t.matrices, su3_center_scalars(t.field))
     systems = np.array([intertwiner_rows(q) for q in _sweep_queries(t)])
     _, rank = rref_np(systems, t.field)
-    return set(staged.tolist()), set(np.flatnonzero(rank < 9).tolist())
+    return staged, np.flatnonzero(rank < 9)
 
 
-@pytest.mark.parametrize("p,f", [(5, 1), (2, 3), (2, 5)])
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (2, 3), (2, 5)])
 def test_block_staging_matches_full_ranks(p, f):
-    """Staging by 9-row blocks finds exactly the systems whose full 27-row
-    rank is below 9: none for the GRR triple, some for z = x."""
+    """Reducing shared block prefixes finds exactly the systems whose full
+    27-row rank is below 9, in ascending sweep order: none for the GRR
+    triple, some for each degenerate triple.  q = 4 has one centre scalar,
+    so no prefix is shared; q = 5, 8 and 32 have three."""
     cp = search_params(field(p, f))
     t = build_triple(cp)
     staged, full = _staged_and_full(t)
-    assert staged == full == set()
-    staged, full = _staged_and_full(GeneratorTriple(cp, t.X, t.Y, t.X))
-    assert staged == full and full
+    assert staged.tolist() == full.tolist() == []
+    X, Y, Z = t.matrices
+    for triple in ((X, Y, X), (X, X, Y), (Y, Z, Y)):
+        staged, full = _staged_and_full(GeneratorTriple(cp, *triple))
+        assert (np.diff(staged) > 0).all()
+        assert staged.tolist() == full.tolist() and len(full)
+    # not involutions: every prefix of this source reaches rank 9 before
+    # block 2, which then has nothing left to reduce
+    staged, full = _staged_and_full(GeneratorTriple(cp, X * Y, Z, X))
+    assert staged.tolist() == full.tolist()
+
+
+@pytest.mark.parametrize("p,f,calls,systems", [
+    (5, 1, 3, 90), (2, 3, 3, 270), (2, 5, 6, 450), (2, 4, 3, 120)])
+def test_sweep_reduces_each_prefix_once(p, f, calls, systems, monkeypatch):
+    """The sweep reduces only the extensions of the prefixes still below
+    rank 9, SWEEP_STACK systems to an rref_np call.  The GRR triple keeps
+    one in C of them live after blocks 0 and 1, so each level reduces
+    5 x 2f x C systems, against 5 x 2f x C^3 queries (C centre scalars)."""
+    stacks = []
+
+    def recording(a, fld):
+        reduced, rank = rref_np(a, fld)
+        stacks.append((len(a), int((rank < 9).sum())))
+        return reduced, rank
+
+    monkeypatch.setattr(autcheck, "rref_np", recording)
+    t = build_triple(search_params(field(p, f)))
+    assert _rank_deficient(t.matrices, su3_center_scalars(t.field)).size == 0
+    assert (len(stacks), sum(n for n, _ in stacks)) == (calls, systems)
+    if (p, f) == (2, 3):
+        assert [live for _, live in stacks] == [30, 30, 0]
 
 
 def test_all_zero_system():
