@@ -35,7 +35,7 @@ the verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,32 +66,28 @@ class PreconditionUnmet(RuntimeError):
     """Automorphism certification requires a generation certificate."""
 
 
-@dataclass(frozen=True)
-class TwistedConjugacyQuery:
+class TwistedConjugacyQuery(NamedTuple):
     source: tuple[Mat3, Mat3, Mat3]
     target: tuple[Mat3, Mat3, Mat3]
     twist: int
     scalars: tuple[FieldElem, FieldElem, FieldElem]
 
 
-@dataclass(frozen=True)
-class FastPathEntry:
+class FastPathEntry(NamedTuple):
     condition: str
     twist: int | None
     relevant: bool
     holds: bool
 
 
-@dataclass(frozen=True)
-class OracleEntry:
+class OracleEntry(NamedTuple):
     perm: tuple[int, int, int]
     twist: int
     scalars: tuple[str, str, str]
     conjugator_found: bool
 
 
-@dataclass
-class AutCertificate:
+class AutCertificate(NamedTuple):
     fast_path: list[FastPathEntry]
     oracle_path: list[OracleEntry]
     verdict: str            # "trivial" | "nontrivial"
@@ -297,22 +293,24 @@ def aut_group_trivial(t: GeneratorTriple,
     names = [c.to_str() for c in centers]
     combos = [(js, tuple(names[j] for j in js))
               for js in itertools.product(range(len(centers)), repeat=3)]
-    cert = AutCertificate(fast_path=fast_charpoly_check(t.params),
-                          oracle_path=[], verdict="trivial")
+    fast_path = fast_charpoly_check(t.params)
     deficient = set(_rank_deficient(mats, centers).tolist())
+    oracle_path = []
+    witness = witness_query = None
     queries = itertools.product(NONTRIVIAL_PERMS, range(2 * fld.f), combos)
     for n, (perm, i, (js, combo_names)) in enumerate(queries):
-        witness = None
+        found = None
         if n in deficient:
             target = tuple(mats[j] for j in perm)
             scalars = tuple(centers[j] for j in js)
             query = TwistedConjugacyQuery(mats, target, i, scalars)
-            witness = solve_twisted_conjugacy(query)
-        entry = OracleEntry(perm, i, combo_names, witness is not None)
-        cert.oracle_path.append(entry)
-        cert.queries += 1
-        if witness is not None and cert.witness is None:
-            cert.verdict = "nontrivial"
-            cert.witness = witness
-            cert.witness_query = entry
-    return cert
+            found = solve_twisted_conjugacy(query)
+        entry = OracleEntry(perm, i, combo_names, found is not None)
+        oracle_path.append(entry)
+        if found is not None and witness is None:
+            witness, witness_query = found, entry
+    return AutCertificate(
+        fast_path=fast_path, oracle_path=oracle_path,
+        verdict="trivial" if witness is None else "nontrivial",
+        witness=witness, witness_query=witness_query,
+        queries=len(oracle_path))

@@ -84,8 +84,8 @@ it exists for export and independent cross-checks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +136,7 @@ def frame_points(action: IsotropicAction) -> tuple[int, ...]:
     raise AssertionError("every isotropic point is on one line")
 
 
-@dataclass
-class CayleyGraph:
+class CayleyGraph(NamedTuple):
     vertex_count: int
     edges: np.ndarray   # (m, 2): u < v in each row, rows sorted
 

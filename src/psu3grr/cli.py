@@ -28,6 +28,12 @@ certificate hash.
 Exit codes: 0 success, 2 refusal (q out of scope), 3 stage failure,
 4 internal inconsistency (fast path and oracle disagree impossibly).
 
+The package's records (RunConfig here, ConstructionParams, GeneratorTriple,
+PermGroupCertificate, AutCertificate and the rest) are typing.NamedTuple
+classes, which cost a fraction of a dataclass to create at import: they
+are immutable, and a changed copy is made with `_replace`.  Stages turn
+them into dicts of plain values; stable_json writes no tuple.
+
 The environment variable GRR_SEED is accepted and ignored: no randomness
 affects any result; the variable exists for harness compatibility only.
 """
@@ -39,7 +45,8 @@ import datetime
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import __version__
 from .autcheck import aut_group_trivial
@@ -94,8 +101,7 @@ class StageFailure(RuntimeError):
         self.fragment = fragment
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     p: int
     f: int
     stages: tuple[str, ...] = VERDICT_STAGES
@@ -119,8 +125,72 @@ def _close_stages(requested) -> tuple[str, ...]:
     return tuple(s for s in STAGE_RUN_ORDER if s in wanted)
 
 
+# the text of each scalar type json writes, looked up by exact type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def stable_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+
+    json's indented encoder is pure Python, and on a q = 8 certificate
+    (810 oracle entries) it takes about as long as the aut stage, so this
+    writer reproduces its rules directly: two-space indent, "," ending a
+    line and ": " after a key, keys sorted, strings ASCII-escaped by
+    json's own (C) `encode_basestring_ascii`, ints by `int.__repr__`,
+    true / false / null, and empty containers as [] and {}.  It writes only
+    dict (with str keys), list, str, int, bool and None, dispatching on the
+    exact type; anything else, tuples and floats included, is a TypeError.
+    """
+    parts: list[str] = []
+    _write(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(obj, nl: str, parts: list[str]):
+    """Append the text of obj to parts; nl starts each of its later lines.
+
+    Everything goes into the one flat list, joined once by stable_json, so
+    no nested container's text is held as a string of its own.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        parts.append(scalar(obj))
+        return
+    inner = nl + "  "
+    if type(obj) is dict:
+        if not obj:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        for key in sorted(obj):
+            parts.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write(obj[key], inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif type(obj) is list:
+        if not obj:
+            parts.append("[]")
+            return
+        try:
+            items = [_SCALARS[type(x)](x) for x in obj]
+        except KeyError:  # a container among the items
+            sep = "[" + inner
+            for x in obj:
+                parts.append(sep)
+                _write(x, inner, parts)
+                sep = "," + inner
+            parts.append(nl + "]")
+        else:
+            parts.append("[" + inner + ("," + inner).join(items) + nl + "]")
+    else:
+        raise TypeError(f"stable_json cannot write {type(obj).__name__}")
 
 
 def certificate_hash(cert: dict) -> str:

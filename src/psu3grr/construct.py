@@ -19,9 +19,9 @@ records how many valid a exist for the chosen b (the census).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def require_supported(field: Field) -> str:
     return parity
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     field: Field
     parity: str
     b: FieldElem
@@ -79,8 +78,7 @@ class ConstructionParams:
     a_census: int
 
 
-@dataclass(frozen=True)
-class GeneratorTriple:
+class GeneratorTriple(NamedTuple):
     params: ConstructionParams
     X: Mat3
     Y: Mat3

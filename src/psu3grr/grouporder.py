@@ -39,9 +39,9 @@ which makes the triple absolutely irreducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -499,8 +499,7 @@ class StabilizerChain:
         return tuple(len(level.orbit) for level in self.levels)
 
 
-@dataclass(frozen=True)
-class PermGroupCertificate:
+class PermGroupCertificate(NamedTuple):
     degree: int
     order: int
     base: tuple[int, ...]

@@ -14,7 +14,7 @@ anti-diagonal W is used in both odd and even characteristic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,8 +239,7 @@ def intertwiner_np(field: Field, a, b, c):
     return out.reshape(out.shape[:-4] + (9, 9))
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Monic cubic det(lI - M) as its lower coefficients (c2, c1, c0)."""
     c2: FieldElem
     c1: FieldElem

@@ -136,6 +136,7 @@ def test_degenerate_triple_has_nontrivial_symmetry():
     assert cert.witness.to_str() == "0,1 2,0 2,4;4,0 3,2 3,0;3,1 1,0 0,1"
     assert cert.witness_query == OracleEntry((2, 1, 0), 0, ("1,0",) * 3, True)
     assert [e.conjugator_found for e in cert.oracle_path].count(True) == 2
+    assert cert.queries == len(cert.oracle_path) == 270
 
 
 def test_sweep_memory_is_bounded():

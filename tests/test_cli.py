@@ -1,17 +1,28 @@
 """CLI driver: pipeline orchestration, JSON output, exit codes."""
 
+import dataclasses
 import hashlib
+import importlib
+import itertools
 import json
+import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import psu3grr
 from psu3grr import cli, grouporder
+from psu3grr.autcheck import OracleEntry
 from psu3grr.cli import (EXIT_OK, EXIT_REFUSED, EXIT_STAGE_FAILED, RunConfig,
                          VERDICT_STAGES, _close_stages, certificate_hash,
-                         main, run_certify, run_negative_control_q3)
+                         main, run_certify, run_negative_control_q3,
+                         stable_json)
+from psu3grr.construct import build_triple, search_params
+from psu3grr.gf import field
+from psu3grr.grouporder import group_order
 
 
 def test_stage_closure():
@@ -385,3 +396,99 @@ def test_traced_run_still_wraps_every_layer():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert (doc["exit"], doc["cert"]["verdict"]) == (EXIT_OK, "GRR_CONFIRMED")
+
+
+def _first_difference(text, doc):
+    """(line number, line, json's line) where text first differs from
+    json.dumps(doc, indent=2, sort_keys=True) + "\\n", or None.  A plain
+    == on a failing 200 KB certificate would make pytest diff it for
+    minutes."""
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    pairs = itertools.zip_longest(text.split("\n"), want.split("\n"))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
+# characters json escapes in some way: quotes, backslashes, control
+# characters, non-ASCII in and beyond the basic plane
+_ODD_CHARS = '"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ufffd\U0001f600'
+
+
+def _random_string(rng):
+    pool = "abcXYZ019 ,:" + _ODD_CHARS
+    return "".join(rng.choice(pool) for _ in range(rng.randrange(6)))
+
+
+def _random_tree(rng, depth):
+    kind = rng.randrange(8 if depth else 5)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 2 ** 64, -(3 ** 50),
+                           rng.randrange(-10 ** 6, 10 ** 6)])
+    if kind == 1:
+        return _random_string(rng)
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice([[], {}])
+    if kind == 5:  # a list of scalars only
+        return [_random_tree(rng, 0) for _ in range(rng.randrange(1, 5))]
+    if kind == 6:
+        return [_random_tree(rng, depth - 1)
+                for _ in range(rng.randrange(1, 5))]
+    return {_random_string(rng): _random_tree(rng, depth - 1)
+            for _ in range(rng.randrange(1, 5))}
+
+
+def test_stable_json_matches_json_dumps_on_random_trees():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        doc = _random_tree(rng, 4)
+        assert _first_difference(stable_json(doc), doc) is None
+
+
+@pytest.mark.parametrize("doc", [(1, 2), 1.5, {1: "a"}, {"a": [0, 0.5]},
+                                 {"a": {True: 1}}, object(), [object()],
+                                 OracleEntry((1, 0, 2), 0, ("1",) * 3, False)])
+def test_stable_json_refuses_what_it_does_not_write(doc):
+    with pytest.raises(TypeError):
+        stable_json(doc)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["certify", "--p", "5", "--f", "1"], EXIT_OK),
+    (["certify", "--p", "2", "--f", "3"], EXIT_OK),
+    (["certify", "--p", "2", "--f", "2", "--stage", "graph"], EXIT_OK),
+    (["certify", "--p", "5", "--f", "1", "--stage", "irreducible"], EXIT_OK),
+    (["certify", "--p", "3", "--f", "1"], EXIT_REFUSED),
+    (["certify", "--p", "131", "--f", "1"], EXIT_STAGE_FAILED),
+    (["search-params", "--p", "5", "--f", "1"], EXIT_OK),
+    (["construct", "--p", "2", "--f", "2"], EXIT_OK),
+    (["negative-control-q3"], EXIT_OK),
+])
+def test_cli_output_is_the_json_dumps_text(argv, code, capsys):
+    """Every output shape the CLI prints is json.dumps(indent=2,
+    sort_keys=True) of its document, plus a newline."""
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert _first_difference(out, json.loads(out)) is None
+
+
+def test_records_are_namedtuples_not_dataclasses():
+    """Dataclass code generation cost about 12 ms per CLI start; the
+    records are NamedTuples, immutable like the frozen dataclasses were."""
+    classes = []
+    for info in pkgutil.iter_modules(psu3grr.__path__):
+        mod = importlib.import_module(f"psu3grr.{info.name}")
+        classes += [obj for name, obj in vars(mod).items()
+                    if isinstance(obj, type) and not name.startswith("_")
+                    and obj.__module__ == mod.__name__]
+    assert {"RunConfig", "GeneratorTriple", "AutCertificate"} <= {
+        c.__name__ for c in classes}
+    assert not [c for c in classes if dataclasses.is_dataclass(c)]
+    t = build_triple(search_params(field(5, 1)))
+    records = [(t, "X"), (group_order(t), "order"),
+               (OracleEntry((1, 0, 2), 0, ("1",) * 3, False), "twist")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

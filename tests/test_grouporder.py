@@ -2,7 +2,6 @@
 
 import tracemalloc
 from collections import deque
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -723,7 +722,7 @@ def test_norm_one_b_collapses_to_a_proper_subgroup(b):
     nb = F.from_str(b)
     assert nb ** (F.q + 1) == F.one and nb.frobenius(F.f) != nb
     assert nb + nb.frobenius(F.f) == F.one
-    cert = group_order(build_triple(replace(cp, b=nb)))
+    cert = group_order(build_triple(cp._replace(b=nb)))
     assert cert.order == 2520
     assert cert.base == (0, 2, 6)
     assert cert.orbit_lengths == (126, 10, 2)
