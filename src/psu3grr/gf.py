@@ -21,10 +21,10 @@ Inf. Theory 1990): arrays of O(q^2) entries, through which every operation
 goes.  They have one layout, in which zero has a log of its own (see
 Field._log_tables), so no operation branches or masks on zero.  The numpy
 kernels add_np, mul_np, inv_np and powq_np, for index arrays, gather from
-the arrays; the scalar methods read list copies of the same arrays with the
-same formulas.  Either way arithmetic is O(1).  The polynomial routines only
-choose the modulus and the generator, and serve the tests as an independent
-reference.
+the arrays; the scalar methods read zero-copy memoryviews of the same arrays
+with the same formulas.  Either way arithmetic is O(1).  The polynomial
+routines only choose the modulus and the generator, and serve the tests as
+an independent reference.
 """
 
 from __future__ import annotations
@@ -205,19 +205,9 @@ class Field:
 
         log, exp, zech, self._inv_arr, self._powq_arr = self._log_tables()
         self._log_arr, self._exp_arr, self._zech_arr = log, exp, zech
-        # list copies of the same tables for the scalar methods, which index
-        # lists faster than arrays.  The two periods of exp and of zech's Z
-        # values share their int objects, and each list is built in one
-        # pass, which keeps the copies' peak memory down on large fields
-        n = self._mult_order
-        self._log = log.tolist()
-        head = exp[:n].tolist()
-        z = zech[2 * n:3 * n].tolist()
-        self._exp = list(itertools.chain(
-            head, head, itertools.repeat(0, 2 * n + 1)))
-        self._zech = list(itertools.chain(
-            range(-2 * n, -n), [0], itertools.islice(z, 1, None), z,
-            itertools.repeat(0, n + 1)))
+        # zero-copy views for the scalar methods: indexing a memoryview
+        # gives a Python int, where indexing the array gives np.int64
+        self._log, self._exp, self._zech = map(memoryview, (log, exp, zech))
 
         self.zero = FieldElem(self, 0)
         self.one = self.from_int(1)
@@ -425,6 +415,8 @@ class Field:
 def field_from_params_str(s: str) -> Field:
     """Inverse of Field.params_str; the modulus is validated, not trusted."""
     vals = [int(v) for v in s.split(",")]
+    if len(vals) < 3:
+        raise ValueError(f"expected p,f,m0,...; got {s!r}")
     p, f, modulus = vals[0], vals[1], tuple(vals[2:])
     fld = field(p, f)
     if fld.modulus != modulus:

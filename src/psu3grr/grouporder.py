@@ -569,7 +569,7 @@ def _eigenvalues(m: Mat3) -> list[FieldElem]:
     """
     fld = m.field
     add, mul = fld.add_np, fld.mul_np
-    c2, c1, c0 = (c.index for c in m.char_poly().as_tuple())
+    c2, c1, c0 = (c.index for c in m.char_poly())
     if m * m == Mat3.identity(fld):
         one = fld.one.index
         x = np.array(sorted({one, fld.neg_index(one)}), dtype=np.int64)

@@ -245,9 +245,6 @@ class CharPoly(NamedTuple):
     c1: FieldElem
     c0: FieldElem
 
-    def as_tuple(self):
-        return (self.c2, self.c1, self.c0)
-
     def eval(self, x: FieldElem) -> FieldElem:
         return ((x + self.c2) * x + self.c1) * x + self.c0
 

@@ -188,6 +188,9 @@ def test_serialization_round_trip():
     assert field_from_params_str(F.params_str()) is F
     with pytest.raises(ValueError):
         field_from_params_str("3,2,1,1,1,1,1")
+    for short in ("3", "3,2"):
+        with pytest.raises(ValueError, match="p,f,m0"):
+            field_from_params_str(short)
 
 
 class PolyReference:
@@ -277,7 +280,8 @@ def test_zech_table_has_one_empty_entry(p, f):
     and 1 + g^k = 0 only for g^k = -1, whose log is 0 (p = 2) or n/2."""
     F = field(p, f)
     n = F.size - 1
-    log, exp, zech = F._log, F._exp, F._zech
+    log, exp, zech = (
+        a.tolist() for a in (F._log_arr, F._exp_arr, F._zech_arr))
     assert len(log) == F.size and len(exp) == len(zech) == 4 * n + 1
     assert log[0] == 2 * n
     assert sorted(exp[:n]) == list(range(1, F.size))
@@ -287,8 +291,26 @@ def test_zech_table_has_one_empty_entry(p, f):
     assert F._neg_log == (0 if p == 2 else n // 2)
     assert zech[n + 1:2 * n] == zech[2 * n + 1:3 * n]
     assert zech[:n] == list(range(-2 * n, -n)) and set(zech[3 * n:]) == {0}
-    assert log == F._log_arr.tolist() and exp == F._exp_arr.tolist()
-    assert zech == F._zech_arr.tolist()
+    # the scalar methods read views of these arrays, not copies
+    assert F._log.obj is F._log_arr and F._exp.obj is F._exp_arr
+    assert F._zech.obj is F._zech_arr
+
+
+@pytest.mark.parametrize("p,f", [(5, 2), (2, 4)])
+def test_scalar_methods_return_python_ints(p, f):
+    """Indices leave the scalar methods as exact ints, also when called with
+    np.int64 arguments, as the numpy kernels' outputs are."""
+    F = field(p, f)
+    n = F.size - 1
+    for wrap in (int, np.int64):
+        i, j, e, k = wrap(F.size - 2), wrap(3), wrap(-5), wrap(n + 7)
+        results = [F.add_index(i, j), F.add_index(i, F.neg_index(i)),
+                   F.mul_index(i, j), F.neg_index(i), F.inv_index(i),
+                   F.pow_index(i, e), F.pow_index(wrap(0), wrap(0)),
+                   F.pow_index(wrap(0), wrap(2)), F.exp_index(k),
+                   F.frob_index(i, wrap(1)), F.order_index(i),
+                   *F.indices_of_order(wrap(n // 3))]
+        assert all(type(x) is int for x in results), results
 
 
 def _kernel_pairs(F):
