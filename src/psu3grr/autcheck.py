@@ -30,6 +30,12 @@ order 1, 2 or 3 can actually use ({0, f}, plus {2f/3, 4f/3} when 3 | f):
 these separations are exactly the obstructions that rule the queries out
 without solving any linear system.  The oracle, not the fast path, decides
 the verdict.
+
+A trivial Aut(G, S) with <S> = G makes Cay(G, S) a GRR when the graph is
+normal (Godsil, Combinatorica 1, 1981).  For nonabelian simple G every
+connected cubic Cayley graph is normal except two graphs on A47 (Fang, Li,
+Wang and Xu, Discrete Math. 244, 2002; Xu, Fang, Wang and Li, European J.
+Combin. 28, 2007), and PSU3(q), q >= 4, is nonabelian simple, not A47.
 """
 
 from __future__ import annotations

@@ -21,9 +21,13 @@ Stages and their dependencies:
 
 The GRR verdict is GRR_CONFIRMED only when search, construct, order,
 irreducible and aut all ran and passed; running a subset yields verdict
-INCOMPLETE.  Certificates are deterministic: byte-identical across runs
-except for the generated_at timestamp, which is excluded from the
-certificate hash.
+INCOMPLETE.  Order shows that S generates G = PSU3(q) and aut that
+Aut(G, S) = 1.  Then Cay(G, S) is a GRR because it is normal (Godsil
+1981): for nonabelian simple G every connected cubic Cayley graph is,
+except two on A47 (Fang, Li, Wang and Xu 2002; Xu, Fang, Wang and Li
+2007; see autcheck), and PSU3(q), q >= 4, is nonabelian simple, not A47.
+Certificates are deterministic: byte-identical across runs except for the
+generated_at timestamp, which is excluded from the certificate hash.
 
 Exit codes: 0 success, 2 refusal (q out of scope), 3 stage failure,
 4 internal inconsistency (fast path and oracle disagree impossibly).
@@ -85,20 +89,20 @@ STAGE_RUN_ORDER = ("search", "construct", "order", "irreducible", "aut", "graph"
 ORDER_DEGREE_GATE = 2100000
 
 
-class InternalInconsistency(RuntimeError):
+class StageError(RuntimeError):
+    """A stage error that carries the stage's certificate fragment."""
+
+    def __init__(self, message, fragment=None):
+        super().__init__(message)
+        self.fragment = fragment
+
+
+class InternalInconsistency(StageError):
     """Fast path and oracle disagreed in the impossible direction."""
 
-    def __init__(self, message, fragment=None):
-        super().__init__(message)
-        self.fragment = fragment
 
-
-class StageFailure(RuntimeError):
+class StageFailure(StageError):
     """A certification check failed; carries the stage's diagnostics."""
-
-    def __init__(self, message, fragment=None):
-        super().__init__(message)
-        self.fragment = fragment
 
 
 class RunConfig(NamedTuple):
@@ -111,17 +115,15 @@ class RunConfig(NamedTuple):
 
 
 def _close_stages(requested) -> tuple[str, ...]:
-    wanted = set()
-    def visit(s):
+    """The requested stages and their dependencies, in STAGE_RUN_ORDER,
+    which lists each stage after its dependencies: one reverse pass."""
+    for s in requested:
         if s not in STAGE_DEPS:
             raise ValueError(f"unknown stage: {s}")
+    wanted = set(requested)
+    for s in reversed(STAGE_RUN_ORDER):
         if s in wanted:
-            return
-        for dep in STAGE_DEPS[s]:
-            visit(dep)
-        wanted.add(s)
-    for s in requested:
-        visit(s)
+            wanted.update(STAGE_DEPS[s])
     return tuple(s for s in STAGE_RUN_ORDER if s in wanted)
 
 

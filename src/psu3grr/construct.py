@@ -49,7 +49,7 @@ ODD_CONDITIONS = ("yz-xy", "yz-xz", "xy-xz")
 EVEN_CONDITIONS = ("zx-zy", "zx-xy", "zy-xy", "trace-nonzero")
 # conditions whose left side gets the p^i twist
 TWISTED = {"yz-xy", "yz-xz", "zx-zy", "zx-xy"}
-# field elements per block of the b census (count_valid_b)
+# field elements per block of the b predicate (valid_b_blocks)
 CENSUS_BLOCK = 1 << 14
 
 
@@ -93,51 +93,43 @@ class GeneratorTriple(NamedTuple):
         return (self.X, self.Y, self.Z)
 
 
-def b_is_valid(field: Field, b: FieldElem, parity: str) -> bool:
-    """Trace-one b suitable for the construction.
+def valid_b_blocks(field: Field, parity: str):
+    """The b valid for the construction, as index arrays in enumeration
+    order, one block of CENSUS_BLOCK elements at a time (which bounds the
+    temporaries).
 
     Both parities need b + b^q = 1 and b^(q+1) != 1.  The norm condition is
     not redundant in odd characteristic: when q = 5 (mod 6) the primitive
     sixth roots of unity satisfy b + b^q = 1, b != b^q, yet collapse
     <X, Y, Z> to a proper subgroup (verified by exact order computation for
     q = 5, where the collapse lands in an A7-type maximal subgroup).  The
-    odd case additionally excludes subfield b via b != b^q.
+    odd case additionally excludes subfield b via b != b^q.  Zero has
+    trace 0, so the trace test excludes it.
     """
-    if b.is_zero():
-        return False
-    bq = b.frobenius(field.f)
-    if b + bq != field.one:
-        return False
-    if b * bq == field.one:  # b^(q+1) = b * b^q: norm-one b are excluded
-        return False
-    return parity == "even" or b != bq
-
-
-def find_b(field: Field, parity: str | None = None) -> FieldElem:
-    """First b in enumeration order with the parity's b-conditions."""
-    parity = parity or require_supported(field)
-    for b in field.nonzero_elements():
-        if b_is_valid(field, b, parity):
-            return b
-    raise NoValidParams(f"no valid b in GF({field.q}^2)")  # trace is onto; unreachable
-
-
-def count_valid_b(field: Field, parity: str | None = None) -> int:
-    """How many b pass `b_is_valid`, in index arithmetic over the whole
-    field, one block of CENSUS_BLOCK elements at a time (which bounds the
-    temporaries).  Zero has trace 0, so the trace test excludes it."""
-    parity = parity or require_supported(field)
     one = field.one.index
-    count = 0
     for lo in range(0, field.size, CENSUS_BLOCK):
         b = np.arange(lo, min(lo + CENSUS_BLOCK, field.size))
         bq = field.powq_np(b)
         valid = field.add_np(b, bq) == one
-        valid &= field.mul_np(b, bq) != one
+        valid &= field.mul_np(b, bq) != one  # b^(q+1) = b * b^q
         if parity == "odd":
             valid &= b != bq
-        count += int(np.count_nonzero(valid))
-    return count
+        yield b[valid]
+
+
+def find_b(field: Field, parity: str | None = None) -> FieldElem:
+    """First b in enumeration order of `valid_b_blocks`."""
+    parity = parity or require_supported(field)
+    for valid in valid_b_blocks(field, parity):
+        if len(valid):
+            return FieldElem(field, int(valid[0]))
+    raise NoValidParams(f"no valid b in GF({field.q}^2)")  # trace is onto; unreachable
+
+
+def count_valid_b(field: Field, parity: str | None = None) -> int:
+    """How many b in the whole field `valid_b_blocks` yields."""
+    parity = parity or require_supported(field)
+    return sum(len(valid) for valid in valid_b_blocks(field, parity))
 
 
 def exponent_set(f: int, parity: str) -> tuple[int, ...]:
@@ -179,12 +171,6 @@ def charpoly_coeffs(field: Field, parity: str, a: FieldElem,
         "zx": one + b + b2,
         "xy": a * (one + b + b3 + b4) + a_inv * (b2 + b3 + b4),
     }
-
-
-def condition_holds(field: Field, parity: str, cond: str, a: FieldElem,
-                    b: FieldElem, i: int | None = None) -> bool:
-    """Evaluate one separation condition, twisting by p^i where applicable."""
-    return separated(charpoly_coeffs(field, parity, a, b), cond, i)
 
 
 def separated(coeffs: dict[str, FieldElem], cond: str,

@@ -295,8 +295,8 @@ class _Level:
         # images run point by point over the last `width` generators; the
         # first layer's are distinct, one permutation of distinct points
         images, width = self.gens[-1][self.orbit], 1
-        parent_rows = self.T
-        layers = []
+        n = len(self.orbit)
+        points, layers = [self.orbit], [self.T]
         while True:
             fresh = (self.pos[images] < 0).nonzero()[0]
             if not len(fresh):
@@ -306,17 +306,17 @@ class _Level:
                 fresh = fresh[np.sort(first)]
             new = images[fresh]
             parent, gen = np.divmod(fresh, width)
-            rows = matmul_np(field, parent_rows[parent],
+            rows = matmul_np(field, layers[-1][parent],
                              self.mats[ng - width:][gen])
-            n = len(self.orbit)
             self.pos[new] = np.arange(n, n + len(new), dtype=np.int32)
-            self.orbit = np.concatenate((self.orbit, new))
             self.pending.append(n, n + len(new), 0, ng)
+            n += len(new)
+            points.append(new)
             layers.append(rows)
             images, width = self.gens[:, new].T.ravel(), ng
-            parent_rows = rows
-        if layers:
-            self.T = np.concatenate([self.T] + layers, dtype=np.int32)
+        if len(layers) > 1:
+            self.orbit = np.concatenate(points)
+            self.T = np.concatenate(layers, dtype=np.int32)
 
 
 class StabilizerChain:

@@ -6,8 +6,8 @@ One kernel, rref_np, reduces a whole stack of systems at once: a (Q, R, C)
 array of element indices, one pass per column, each pass a few numpy
 operations on the whole stack through the field's kernels (add_np, mul_np,
 inv_np).  No FieldElem is made and no Python loop runs over rows or
-systems while reducing.  rref and nullspace serve a single system as a
-stack of one.
+systems while reducing.  nullspace serves a single system as a stack of
+one.
 """
 
 from __future__ import annotations
@@ -60,19 +60,6 @@ def rref_np(systems, field: Field):
     return a, rank
 
 
-def rref(rows, ncols: int, field: Field):
-    """Reduced row echelon form of the row space of rows (index rows).
-
-    Returns (basis, pivots): basis[r] is a list of element indices with a 1
-    in column pivots[r] and 0 in every other pivot column, and pivots is
-    ascending.  rows is a sequence of ncols-long index rows, or an array.
-    """
-    a = np.asarray(rows, dtype=np.int64).reshape(1, -1, ncols)
-    reduced, rank = rref_np(a, field)
-    basis = reduced[0, :rank[0]]
-    return basis.tolist(), (basis != 0).argmax(axis=1).tolist()
-
-
 def nullspace(rows, ncols: int, field: Field):
     """Basis of the right nullspace {v : rows . v = 0} of index rows.
 
@@ -81,15 +68,17 @@ def nullspace(rows, ncols: int, field: Field):
     free column, 0 in the other free columns and minus the basis entries in
     the pivot columns.  A system of full rank has the empty basis.
     """
-    basis, pivots = rref(rows, ncols, field)
-    pivot_set = set(pivots)
+    reduced, rank = rref_np(
+        np.asarray(rows, dtype=np.int64).reshape(1, -1, ncols), field)
+    basis = reduced[0, :rank[0]]
+    pivots = (basis != 0).argmax(axis=1).tolist()
     out = []
     for fc in range(ncols):
-        if fc in pivot_set:
+        if fc in pivots:
             continue
         v = [0] * ncols
         v[fc] = field.one.index
-        for b, pc in zip(basis, pivots):
-            v[pc] = field.neg_index(b[fc])
+        for b, pc in zip(basis[:, fc].tolist(), pivots):
+            v[pc] = field.neg_index(b)
         out.append(tuple(FieldElem(field, i) for i in v))
     return out

@@ -107,16 +107,11 @@ class Mat3:
 
     def conj_transpose(self) -> "Mat3":
         """Entrywise q-th power followed by transposition; an involution."""
-        f = self.field.f
-        a = tuple(x.frobenius(f) for x in self.e)
-        return Mat3(self.field, (a[0], a[3], a[6], a[1], a[4], a[7], a[2], a[5], a[8]))
+        return self.frobenius(self.field.f).transpose()
 
     def frobenius(self, e: int) -> "Mat3":
         """Entrywise x -> x^(p^e)."""
         return Mat3(self.field, tuple(x.frobenius(e) for x in self.e))
-
-    def trace(self) -> FieldElem:
-        return self.e[0] + self.e[4] + self.e[8]
 
     def det(self) -> FieldElem:
         """Expansion along row 0, whose cofactors are adj(M) column 0."""
@@ -283,27 +278,32 @@ def projectively_equal(m1: Mat3, m2: Mat3) -> bool:
     return any(m1 == m2.scalar_mul(c) for c in su3_center_scalars(m1.field))
 
 
-def matrix_order(m: Mat3) -> int:
-    """Least n >= 1 with m^n = I."""
-    ident = Mat3.identity(m.field)
-    bound = m.field.q ** 3  # element orders in GL3(q^2) subgroups of interest
+def _power_order(m: Mat3, targets) -> int:
+    """Least n >= 1 with the flat indices of m^n in targets.
+
+    The bound q^3 exceeds every element order of SU3(q), q >= 3.  Write
+    m = s u (Jordan).  If s has three distinct eigenvalues, u = I and s lies
+    in a torus of exponent q + 1, q^2 - 1 or q^2 - q + 1.  Otherwise s has
+    an eigenplane; no plane is totally isotropic, so its eigenvalue has
+    norm one, as has the third (det s = 1), and s^(q+1) = I.  u has order
+    1, p, or 4 when p = 2, and p(q + 1), 4(q + 1) < q^3.  A projective
+    order divides the matrix order, so the bound serves both.
+    """
     power = m
-    for n in range(1, bound + 1):
-        if power == ident:
+    for n in range(1, m.field.q ** 3 + 1):
+        if power.flat_indices in targets:
             return n
         power = power * m
-    raise ArithmeticError("order bound exceeded; matrix is not in the group")
+    raise ArithmeticError("order bound q^3 exceeded; matrix is not in SU3(q)")
+
+
+def matrix_order(m: Mat3) -> int:
+    """Least n >= 1 with m^n = I."""
+    return _power_order(m, {Mat3.identity(m.field).flat_indices})
 
 
 def projective_order(m: Mat3) -> int:
     """Least n >= 1 with m^n a center scalar matrix."""
-    field = m.field
-    ident = Mat3.identity(field)
-    centrals = {ident.scalar_mul(c).flat_indices for c in su3_center_scalars(field)}
-    bound = field.q ** 2 - 1
-    power = m
-    for n in range(1, bound + 1):
-        if power.flat_indices in centrals:
-            return n
-        power = power * m
-    raise ArithmeticError("projective order bound exceeded")
+    ident = Mat3.identity(m.field)
+    return _power_order(m, {ident.scalar_mul(c).flat_indices
+                            for c in su3_center_scalars(m.field)})

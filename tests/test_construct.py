@@ -2,13 +2,14 @@
 
 import pytest
 
+from psu3grr import construct
 from psu3grr.construct import (ConnectionSetError, ConstructionError,
-                               ConstructionParams, UnsupportedQ, b_is_valid,
+                               ConstructionParams, UnsupportedQ,
                                build_triple, charpoly_coeffs,
                                check_conditions, check_connection_set,
-                               condition_holds, count_valid_b,
-                               elements_of_order, exponent_set, find_b,
-                               require_supported, search_params)
+                               count_valid_b, elements_of_order,
+                               exponent_set, find_b, require_supported,
+                               search_params, separated, valid_b_blocks)
 from psu3grr.gf import field
 from psu3grr.mat3 import Mat3, is_special_unitary
 
@@ -31,17 +32,34 @@ def _scan_valid_b(F, parity):
     return out
 
 
+def _valid_b(F, parity):
+    """Every index valid_b_blocks yields, in order."""
+    return [int(i) for block in valid_b_blocks(F, parity) for i in block]
+
+
 @pytest.mark.parametrize("p,f", ODD_QS + EVEN_QS + [(7, 2), (2, 6)])
 def test_find_b_is_first_valid(p, f):
-    """find_b and the census count_valid_b against a direct scan and
-    against b_is_valid run on every element, for q from 4 to 64."""
+    """find_b, the census count_valid_b and the stacked predicate
+    valid_b_blocks against a direct scan, for q from 4 to 64."""
     F = field(p, f)
     parity = require_supported(F)
     oracle = _scan_valid_b(F, parity)
     assert oracle, "trace is onto, so valid b must exist"
-    assert oracle == [b for b in F.nonzero_elements()
-                      if b_is_valid(F, b, parity)]
+    assert _valid_b(F, parity) == [b.index for b in oracle]
     assert find_b(F) == oracle[0]
+    assert count_valid_b(F) == len(oracle)
+
+
+@pytest.mark.parametrize("p,f", [(5, 2), (2, 4)])
+@pytest.mark.parametrize("block", [1, 7])
+def test_valid_b_does_not_depend_on_the_block_size(monkeypatch, p, f, block):
+    """Blocks that split the field give the same b, first b and census."""
+    F = field(p, f)
+    parity = require_supported(F)
+    oracle = [b.index for b in _scan_valid_b(F, parity)]
+    monkeypatch.setattr(construct, "CENSUS_BLOCK", block)
+    assert _valid_b(F, parity) == oracle
+    assert find_b(F).index == oracle[0]
     assert count_valid_b(F) == len(oracle)
 
 
@@ -60,7 +78,7 @@ def test_subfield_b_is_excluded_for_odd_q():
     F = field(5, 1)
     half = F.from_int(2).inv()  # 1/2 = 3 in GF(5)
     assert half + half.frobenius(F.f) == F.one
-    assert not b_is_valid(F, half, "odd")
+    assert half.index not in _valid_b(F, "odd")
 
 
 def test_exponent_set():
@@ -76,7 +94,7 @@ def test_condition_xy_xz_fails_for_a_one():
     """With a = 1 both sides of the xy/xz separation coincide."""
     F = field(5, 1)
     b = find_b(F)
-    assert not condition_holds(F, "odd", "xy-xz", F.one, b)
+    assert not separated(charpoly_coeffs(F, "odd", F.one, b), "xy-xz")
 
 
 def test_condition_trace_nonzero_detects_zero_trace():
@@ -85,7 +103,8 @@ def test_condition_trace_nonzero_detects_zero_trace():
     bad = [a for a in F.nonzero_elements()
            if a + a.inv() + F.one == F.zero]
     for a in bad:
-        assert not condition_holds(F, "even", "trace-nonzero", a, b)
+        assert not separated(charpoly_coeffs(F, "even", a, b),
+                             "trace-nonzero")
 
 
 @pytest.mark.parametrize("p,f", ODD_QS + EVEN_QS)
@@ -200,5 +219,6 @@ def test_counting_bounds_per_condition():
             for cond, i in cases:
                 excluded = sum(
                     1 for a in elements_of_order(F, target)
-                    if not condition_holds(F, parity, cond, a, b, i))
+                    if not separated(charpoly_coeffs(F, parity, a, b),
+                                     cond, i))
                 assert excluded <= 2

@@ -11,7 +11,7 @@ from psu3grr.autcheck import (NONTRIVIAL_PERMS, TwistedConjugacyQuery,
                               _rank_deficient, intertwiner_rows)
 from psu3grr.construct import GeneratorTriple, build_triple, search_params
 from psu3grr.gf import field
-from psu3grr.linalg import nullspace, rref, rref_np
+from psu3grr.linalg import nullspace, rref_np
 from psu3grr.mat3 import su3_center_scalars
 
 
@@ -21,6 +21,16 @@ def _indices(rows):
 
 def _elems(rows, F):
     return [[F.from_index(int(i)) for i in row] for row in rows]
+
+
+def _rref_one(rows, ncols, F):
+    """rref_np on a stack of one system: its basis rows as index lists and
+    their pivot columns, the first nonzero entry of each row."""
+    reduced, rank = rref_np(
+        np.asarray(rows, dtype=np.int64).reshape(1, -1, ncols), F)
+    assert not reduced[0, rank[0]:].any()
+    basis = reduced[0, :rank[0]]
+    return basis.tolist(), (basis != 0).argmax(axis=1).tolist()
 
 
 # -- reference: plain Gauss-Jordan over FieldElem entries ---------------------
@@ -74,11 +84,12 @@ def _reference_nullspace(rows, ncols, field):
 
 
 def _assert_matches_reference(rows, ncols, F):
-    """rref and nullspace of index rows equal the FieldElem reference."""
+    """rref_np on a stack of one and nullspace of index rows equal the
+    FieldElem reference."""
     rows = [[int(i) for i in row] for row in rows]
     ref = _elems(rows, F)
     ref_pivots = _reference_rref(ref, F)
-    basis, pivots = rref(rows, ncols, F)
+    basis, pivots = _rref_one(rows, ncols, F)
     assert pivots == ref_pivots
     assert basis == _indices(ref[:len(ref_pivots)])
     assert nullspace(rows, ncols, F) == _reference_nullspace(
@@ -92,7 +103,7 @@ def test_rref_pivots():
     F = field(5, 1)
     e = F.from_int
     rows = [[e(2), e(4), e(1)], [e(1), e(2), e(3)], [e(0), e(0), e(1)]]
-    basis, pivots = rref(_indices(rows), 3, F)
+    basis, pivots = _rref_one(_indices(rows), 3, F)
     rows = _elems(basis, F)
     assert pivots == [0, 2]
     assert rows[0][0] == F.one and rows[1][2] == F.one
@@ -115,7 +126,7 @@ def test_nullspace_vectors_satisfy_system():
             basis = nullspace(_indices(rows), 5, F)
             # rank-nullity over the 5 columns
             work = [list(r) for r in rows]
-            rank = len(rref(_indices(work), 5, F)[1])
+            rank = len(_rref_one(_indices(work), 5, F)[1])
             assert len(basis) == 5 - rank
             for vec in basis:
                 for row in rows:
@@ -268,7 +279,7 @@ def test_sweep_reduces_each_prefix_once(p, f, calls, systems, monkeypatch):
 def test_all_zero_system():
     F = field(2, 2)
     rows = [[0] * 9 for _ in range(27)]
-    basis, pivots = rref(rows, 9, F)
+    basis, pivots = _rref_one(rows, 9, F)
     assert basis == [] and pivots == []
     _assert_matches_reference(rows, 9, F)
     assert nullspace(rows, 9, F) == [
@@ -283,7 +294,7 @@ def test_full_rank_stops_before_later_rows(p, f):
     F = field(p, f)
     rng = random.Random(97)
     rows = []
-    while len(rref(rows, 9, F)[1]) < 9:
+    while len(_rref_one(rows, 9, F)[1]) < 9:
         rows.append([rng.randrange(F.size) for _ in range(9)])
     extra = [[rng.randrange(F.size) for _ in range(9)] for _ in range(18)]
     pivots = _assert_matches_reference(rows + extra, 9, F)
@@ -291,7 +302,7 @@ def test_full_rank_stops_before_later_rows(p, f):
     assert nullspace(rows + extra, 9, F) == []
     identity = [[F.one.index if i == j else 0 for i in range(9)]
                 for j in range(9)]
-    basis, _ = rref(rows, 9, F)
+    basis, _ = _rref_one(rows, 9, F)
     assert basis == identity
     reduced, rank = rref_np(np.array([basis + extra]), F)
     assert rank.tolist() == [9]

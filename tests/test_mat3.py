@@ -1,5 +1,6 @@
 """Matrix algebra over GF(q^2) and the SU3 membership machinery."""
 
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from psu3grr.construct import build_triple, search_params
 from psu3grr.gf import field
+from psu3grr.grouporder import IsotropicAction
 from psu3grr.mat3 import (Mat3, adjugate_np, intertwiner_np,
                           is_special_unitary, matmul_np, matrix_order,
                           projective_order, projectively_equal,
@@ -205,6 +207,31 @@ def test_matrix_and_projective_orders():
     assert projective_order(te.Z * te.Y) == E.q + 1
     # projective order divides matrix order
     assert matrix_order(yz) % projective_order(yz) == 0
+
+
+def test_orders_past_q_squared_at_q7():
+    """At q = 7 the product X Y Z has order 56 = q(q + 1), past q^2 - 1,
+    and the center is trivial, so its projective order is 56 too: the lcm
+    of the cycle lengths of its permutation of the isotropic points.  A
+    singular matrix has no order below the bound q^3."""
+    F = field(7, 1)
+    t = build_triple(search_params(F))
+    xyz = t.X * t.Y * t.Z
+    perm = IsotropicAction(F).permutation(xyz)
+    seen = np.zeros(len(perm), dtype=bool)
+    lengths = set()
+    for start in range(len(perm)):
+        i, n = start, 0
+        while not seen[i]:
+            seen[i] = True
+            i, n = perm[i], n + 1
+        lengths.add(max(n, 1))
+    assert math.lcm(*lengths) == 56
+    assert projective_order(xyz) == matrix_order(xyz) == 56
+    singular = Mat3.from_rows(F, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    for order in (matrix_order, projective_order):
+        with pytest.raises(ArithmeticError):
+            order(singular)
 
 
 def test_serialization_round_trip():
