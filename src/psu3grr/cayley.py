@@ -38,39 +38,52 @@ packed into one int64 in base q^3 + 1.
 
 The closure runs one BFS level at a time on numpy arrays:
 
-* A level is a (3, F) array of the keys of its vertices.  The children
-  s * g for s = X, Y, Z are formed in (parent, generator) order,
-  parent-major.
-* The 3F child values key << s | position, with s = bit_length(3F - 1),
-  are sorted once, by value.  Their low bits give the sorting permutation.
-  A run of equal keys is one vertex, and its positions are exactly the
-  (parent, generator) columns where it appears, in increasing order, so
-  the run's head is its first appearance.  No two values are equal, so
-  there are no ties whose order could matter.  Each child gets its run's
-  id, and its parent is read off its position (parent start + position //
-  3); the edges are sorted at the end anyway.  The value must fit in an
-  int64: at q = MAX_KEY_Q = 11 a key is below 1332^3 < 2^31.2 and a
-  position below 3n < 2^27.7, so values stay under 2^59; `_bfs` checks the
-  bound for the order it is given before the first level.
-* The distinct keys are matched against the keys of the previous and the
-  current level, each held sorted with its vertex ids: `searchsorted`
-  places every known key among the distinct keys, and as both sides are
-  sorted, the searches walk memory in order.  Looking only there finds
-  every known vertex: X, Y and Z are
-  involutions (checked by `construct.check_connection_set`), so g = s(sg)
-  and the graph is undirected; hence BFS distances of neighbours differ by
-  at most one, and every neighbour of a vertex of level L lies in level
-  L - 1, L or L + 1.  The keys not found there form level L + 1; they are
-  in sorted order already, so that level's sorted keys cost no sort.
+* A level is a (3, F) array of the keys of its vertices, and its
+  (parent, generator) columns, parent-major, are the children s * g for
+  s = X, Y, Z.  Only the forward columns are formed, in increasing
+  position order; the back columns are left out.
+* The back columns of a vertex v of level L + 1 are the generators s with
+  s * v in level L.  X, Y and Z are involutions (checked by
+  `construct.check_connection_set`), so if a column (u, s) of level L
+  produced v, then s * v = s * s * u = u; and if s * v = w lies in level
+  L, then s * w = v, so the column (w, s) produced v.  Hence the back
+  columns of v are the generators of the columns where v appears among
+  level L's children, one OR over v's run (below) when v is numbered.
+  Leaving them out loses nothing: the edge {u, v} of a back column was
+  kept at its smaller end u, and the column holds u, already numbered.
+* The K forward child values key << s | j, with j the column's index
+  among the forward columns and s = bit_length(K - 1), are sorted once,
+  by value.  Their low bits give the sorting permutation.  A run of equal
+  keys is one vertex, and its columns are exactly the forward columns
+  where it appears, in increasing order, so the run's head is its first
+  appearance.  No two values are equal, so there are no ties whose order
+  could matter.  Each child gets its run's id, and its parent is read off
+  its column's position (parent start + position // 3); the edges are
+  sorted at the end anyway.  The value must fit in an int64: at q =
+  MAX_KEY_Q = 11 a key is below 1332^3 < 2^31.2 and j below 3n <
+  2^27.7, so values stay under 2^59; `_bfs` checks the bound for the
+  order it is given before the first level.
+* The distinct keys are matched against the keys of the current level,
+  held sorted with its vertex ids: one `searchsorted` places every known
+  key among the distinct keys, and as both sides are sorted, the search
+  walks memory in order.  Looking only there finds every known vertex.
+  The graph is undirected (g = s * (s * g)), so BFS distances of
+  neighbours differ by at most one, and every neighbour of a vertex of
+  level L lies in level L - 1, L or L + 1; those in level L - 1 are
+  exactly its back columns.  The keys not found form level L + 1; they
+  are in sorted order already, so that level's sorted keys cost no sort.
 * The new vertices are numbered in the order of their first appearance in
   the (parent, generator) sequence (one more value sort, of first
   appearance << bits | run, as first appearances are distinct), and the
-  next frontier takes their columns in that order.  That is the numbering
-  of the sequential BFS (pop vertices in index order, try X, Y, Z, number
-  each unseen element next): it numbers levels in turn, since a FIFO queue holds every vertex
-  of level L before any of level L + 1, and within level L + 1 it numbers
-  each vertex when it first appears as a child in that same sequence.  So
-  edges and every export are the same as the sequential BFS's.
+  next frontier takes their columns in that order.  A back column never
+  holds a new vertex, and the forward columns keep their order, so the
+  first appearance among them is the first appearance in the whole
+  sequence.  That is the numbering of the sequential BFS (pop vertices in
+  index order, try X, Y, Z, number each unseen element next): it numbers
+  levels in turn, since a FIFO queue holds every vertex of level L before
+  any of level L + 1, and within level L + 1 it numbers each vertex when
+  it first appears as a child in that same sequence.  So edges and every
+  export are the same as the sequential BFS's.
 
 No per-vertex or per-edge Python object is made while building, hashing or
 exporting a graph: `CayleyGraph` holds the edge array, and exports are
@@ -160,17 +173,21 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
     doc."""
     perms = [action.permutation(s.transpose()) for s in t.matrices]
     base = action.degree
-    # a level's values key << shift | position must fit in an int64
+    # a level's values key << shift | j must fit in an int64
     if ((base ** 3 - 1).bit_length()
             + (len(perms) * expected_order - 1).bit_length() > 63):
         raise GraphSizeError(
             f"q = {action.field.q}: packed BFS keys of {expected_order} "
             "vertices overflow an int64")
+    # children s * v are gathered from one table of the permutations: the
+    # image of point x under generator s is table[s * base + x]
+    table = np.concatenate(perms)
     frontier = np.array(frame_points(action), dtype=perms[0].dtype)[:, None]
-    # the previous and the current level: their keys, sorted, with the
-    # vertex ids alongside
-    known = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
-             (_pack(frontier, base), np.zeros(1, dtype=np.int64))]
+    # the current level's keys, sorted, with the vertex ids alongside
+    level_keys, level_ids = _pack(frontier, base), np.zeros(1, dtype=np.int64)
+    # per frontier vertex, bit s set when s * v lies in the previous level
+    back = np.zeros(1, dtype=np.uint8)
+    bit = (1 << np.arange(len(perms))).astype(np.uint8)
     # edges packed as u << 32 | v: every vertex is a parent once and keeps
     # the edges to its larger neighbours, 3n/2 in all on a cubic graph
     packed = np.empty(len(perms) * expected_order // 2, dtype=np.int64)
@@ -178,17 +195,25 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
     start = 0  # index of the first vertex of the current level
     n = 1
     while frontier.shape[1]:
-        # columns in (parent, generator) order, parent-major
-        children = np.stack([perm.take(frontier) for perm in perms],
-                            axis=2).reshape(len(frontier), -1)
-        del frontier
-        # sort key << shift | position by value: the low bits give the
-        # permutation, and each run of equal keys is one vertex, whose head
-        # is its first appearance
-        shift = (children.shape[1] - 1).bit_length()
+        # the positions vertex * len(perms) + generator of the forward
+        # columns, in increasing order
+        cols = np.flatnonzero(back[:, None] & bit == 0)
+        del back
+        if not len(cols):  # every neighbour lies in the previous level
+            break
+        vert, offset = np.divmod(cols, len(perms))
+        offset *= base
+        children = np.empty((len(frontier), len(cols)), dtype=frontier.dtype)
+        for row, points in zip(children, frontier):
+            table.take(points.take(vert) + offset, out=row)
+        del frontier, vert, offset
+        # sort key << shift | j, j the index among the forward columns, by
+        # value: the low bits give the permutation, and each run of equal
+        # keys is one vertex, whose head is its first appearance
+        shift = (len(cols) - 1).bit_length()
         keys = _pack(children, base)
         keys <<= shift
-        keys |= np.arange(children.shape[1])
+        keys |= np.arange(len(cols))
         keys.sort()
         sort = keys & ((1 << shift) - 1)
         keys >>= shift
@@ -200,14 +225,14 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         unique = keys[starts]
         del keys
         first = sort[starts]
-        # look each vertex up among the previous and the current level
+        # a forward child lies in the current level or the next: look each
+        # vertex up in the current level
         ids = np.full(len(unique), -1, dtype=np.int64)
-        for level_keys, level_ids in known:
-            pos = np.searchsorted(unique, level_keys)
-            np.minimum(pos, len(unique) - 1, out=pos)
-            hit = unique[pos] == level_keys
-            ids[pos[hit]] = level_ids[hit]
-            del pos, hit
+        pos = np.searchsorted(unique, level_keys)
+        np.minimum(pos, len(unique) - 1, out=pos)
+        hit = unique[pos] == level_keys
+        ids[pos[hit]] = level_ids[hit]
+        del pos, hit, level_keys, level_ids
         # number the new vertices by first appearance: sort first << bits
         # | run by value, as the first appearances are distinct
         new = np.flatnonzero(ids < 0)
@@ -216,24 +241,30 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         order <<= bits
         order |= new
         order.sort()
-        ids[order & ((1 << bits) - 1)] = np.arange(n, n + len(new))
-        known = [known[1], (unique[new], ids[new])]
-        # the (parent, generator) column each new vertex first appeared in
+        runs = order & ((1 << bits) - 1)
+        ids[runs] = np.arange(n, n + len(new))
+        level_keys, level_ids = unique[new], ids[new]
+        # the column each new vertex first appeared in
         order >>= bits
         frontier = children[:, order]
         del children, unique, first, new, order
         # the edges in key order: every child in a run gets the run's id,
-        # and the child at position i has the parent start + i // 3
+        # and the child at position c has the parent start + c // len(perms)
         idx = np.repeat(ids, np.diff(starts, append=len(sort)))
-        parents = np.floor_divide(sort, len(perms), out=sort)
+        parents, gen = np.divmod(cols.take(sort, out=sort), len(perms))
         parents += start
-        del sort, starts, ids
+        del sort, ids, cols
+        # child s * u = v makes s * v = u a back column of v, as s is an
+        # involution: OR each new vertex's generator bits over its run
+        back = np.bitwise_or.reduceat(bit.take(gen), starts)[runs]
+        del gen, starts, runs
         if np.any(idx == parents):
             raise ConnectionSetError("loop edge: a generator fixes a coset")
-        # each edge {g, sg} is found from both ends, since every vertex is
-        # a parent once: keep it at its smaller end.  It is found there only
-        # once, as check_connection_set rejects generators that coincide in
-        # PSU3(q).
+        # an edge {g, sg} within the level is found from both ends, and one
+        # to the next level from its end in this level (the other end's
+        # column is a back column): keep each at its smaller end.  It is
+        # found there only once, as check_connection_set rejects generators
+        # that coincide in PSU3(q).
         up = parents < idx
         end = m + np.count_nonzero(up)
         if end > len(packed):

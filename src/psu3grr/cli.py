@@ -32,6 +32,13 @@ generated_at timestamp, which is excluded from the certificate hash.
 Exit codes: 0 success, 2 refusal (q out of scope), 3 stage failure,
 4 internal inconsistency (fast path and oracle disagree impossibly).
 
+A run loads only the modules it calls: gf, mat3, construct, grouporder
+and linalg with cli, and autcheck (aut stage), cayley (graph stage,
+export-graph) and negcontrol (negative-control-q3) on first use.  The
+process entry, `entry`, runs `main` and then freezes the heap, so the
+interpreter exits without collecting it (see `entry`); `main(argv)`
+called in-process does not.
+
 The package's records (RunConfig here, ConstructionParams, GeneratorTriple,
 PermGroupCertificate, AutCertificate and the rest) are typing.NamedTuple
 classes, which cost a fraction of a dataclass to create at import: they
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import hashlib
 import json
 import sys
@@ -53,9 +61,6 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import __version__
-from .autcheck import aut_group_trivial
-from .cayley import (build_graph, check_graph_gate, edge_list_sha256,
-                     export_chunks)
 from .construct import (UnsupportedQ, build_triple, count_valid_b,
                         search_params)
 from .gf import field
@@ -64,7 +69,6 @@ from .grouporder import (IsotropicAction, OrderBoundExceeded,
                          expected_group_order, group_order,
                          invariant_subspace_test)
 from .mat3 import matrix_order, projective_order
-from .negcontrol import run_negative_control_q3
 
 EXIT_OK = 0
 EXIT_REFUSED = 2
@@ -201,6 +205,35 @@ def certificate_hash(cert: dict) -> str:
                 if k not in ("generated_at", "certificate_hash")}
     blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# callees in modules loaded on first use
+# ---------------------------------------------------------------------------
+# autcheck, cayley and negcontrol are imported the first time a stage or
+# subcommand calls into them, so a run compiles and executes only the
+# modules it uses.  These names stay attributes of cli, for callers that
+# rebind or patch them; each imports its module (a dict lookup after the
+# first call) and calls the function of the same name there.
+
+def aut_group_trivial(t, order_cert):
+    from . import autcheck
+    return autcheck.aut_group_trivial(t, order_cert)
+
+
+def build_graph(t, expected_order, allow_large=False):
+    from . import cayley
+    return cayley.build_graph(t, expected_order, allow_large)
+
+
+def edge_list_sha256(g):
+    from . import cayley
+    return cayley.edge_list_sha256(g)
+
+
+def run_negative_control_q3():
+    from . import negcontrol
+    return negcontrol.run_negative_control_q3()
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _export_graph(args) -> int:
+    from .cayley import check_graph_gate, export_chunks
     fld = field(args.p, args.f)
     # refuse an oversized graph before the stages build a chain
     check_graph_gate(fld, expected_group_order(fld.q), args.allow_large_graph)
@@ -534,5 +568,26 @@ def main(argv=None) -> int:
         return EXIT_STAGE_FAILED
 
 
+def entry() -> int:
+    """The process entry (the `psu3grr` script and `python -m psu3grr.cli`):
+    `main()` on sys.argv, then exit without collecting the heap.
+
+    Only the process entry may freeze the heap; `main(argv)` called
+    in-process leaves the caller's heap alone.
+    """
+    code = main()
+    # The process is about to exit and the OS reclaims its memory whole.
+    # gc.freeze() moves every live container (about 2 x 10^4 after a run,
+    # numpy's included) out of the collector's reach, so the interpreter's
+    # teardown no longer traverses them; it still runs atexit and flushes
+    # stdout and stderr.  Skipping the collection loses nothing: every
+    # output file is written inside a `with` block and so is closed by now,
+    # stdout is flushed by teardown whatever the collector does, and
+    # nothing in the package has a __del__, a weakref callback or an
+    # atexit hook.
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,12 +1,15 @@
 """CLI driver: pipeline orchestration, JSON output, exit codes."""
 
 import dataclasses
+import gc
 import hashlib
 import importlib
 import itertools
 import json
+import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -388,14 +391,95 @@ def test_export_graph_bytes_are_pinned(p, f, fmt, tmp_path, capsys):
 def test_traced_run_still_wraps_every_layer():
     """perfbench/tracer.py rebinds names of the package (cli's stage
     callees, grouporder.nullspace, autcheck.solve_twisted_conjugacy, ...);
-    renaming one of them breaks this traced q = 4 verdict."""
+    renaming one of them breaks this traced q = 4 verdict.  A q = 4 graph
+    run must trace the cayley callees, which cli imports on first use."""
     root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "perfbench/tracer.py", "--p", "2", "--f", "2"],
-        cwd=root, capture_output=True, text=True, timeout=120)
+    cases = [((), "GRR_CONFIRMED", {"autcheck.aut_group_trivial"}),
+             (("--stage", "graph"), "INCOMPLETE",
+              {"cayley.build_graph", "cayley.edge_list_sha256"})]
+    for stages, verdict, callees in cases:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/tracer.py", "--p", "2", "--f", "2",
+             *stages],
+            cwd=root, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["exit"], doc["cert"]["verdict"]) == (EXIT_OK, verdict)
+        assert callees <= {span[0] for span in doc["spans"]}
+
+
+def _run_process(*args):
+    """A fresh `python args` process with this package first on its path."""
+    src = str(Path(psu3grr.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+def _without_timestamp(text: bytes) -> bytes:
+    return re.sub(rb'"generated_at": "[^"]*"', b"", text)
+
+
+def test_process_entry_writes_what_main_writes(tmp_path, capsys):
+    """`python -m psu3grr.cli` runs main and then freezes the heap before
+    the interpreter exits; stdout and the --out file are still main's
+    bytes.  main called in-process freezes nothing."""
+    argv = ["certify", "--p", "2", "--f", "2"]
+    frozen = gc.get_freeze_count()
+    assert main(argv) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+    want = _without_timestamp(capsys.readouterr().out.encode())
+    printed = _run_process("-m", "psu3grr.cli", *argv)
+    assert (printed.returncode, printed.stderr) == (EXIT_OK, b"")
+    assert _without_timestamp(printed.stdout) == want
+    out = tmp_path / "cert.json"
+    written = _run_process("-m", "psu3grr.cli", *argv, "--out", str(out))
+    assert (written.returncode, written.stdout, written.stderr) == (
+        EXIT_OK, b"", b"")
+    assert _without_timestamp(out.read_bytes()) == want
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["--p", "3", "--f", "1"], EXIT_REFUSED, b""),
+    (["--p", "5", "--f", "1", "--jobs", "0"], EXIT_STAGE_FAILED,
+     b"error: --jobs must be at least 1\n"),
+], ids=["refused", "bad-jobs"])
+def test_process_entry_exit_codes(argv, code, err):
+    proc = _run_process("-m", "psu3grr.cli", "certify", *argv)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+# runs the process entry on its arguments, then prints the exit code,
+# whether the heap is frozen, and the package modules loaded
+_LOADED_MODULES = """
+import contextlib, gc, io, json, sys
+from psu3grr import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.entry()
+print(json.dumps([code, gc.get_freeze_count() > 0,
+                  sorted(m.partition(".")[2] for m in sys.modules
+                         if m.startswith("psu3grr."))]))
+"""
+
+
+@pytest.mark.parametrize("stages,used,unused", [
+    (["--stage", "irreducible"], "grouporder",
+     {"autcheck", "cayley", "negcontrol"}),
+    ([], "autcheck", {"cayley", "negcontrol"}),
+    (["--stage", "graph"], "cayley", {"autcheck", "negcontrol"}),
+], ids=["irreducible", "verdict", "graph"])
+def test_a_run_loads_only_the_stage_modules_it_calls(stages, used, unused):
+    """cli imports autcheck, cayley and negcontrol on first use, so a fresh
+    process compiles only the modules its stages call; the process entry
+    leaves the heap frozen."""
+    proc = _run_process("-c", _LOADED_MODULES, "certify", "--p", "2",
+                        "--f", "2", *stages)
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert (doc["exit"], doc["cert"]["verdict"]) == (EXIT_OK, "GRR_CONFIRMED")
+    code, frozen, loaded = json.loads(proc.stdout)
+    assert (code, frozen) == (EXIT_OK, True)
+    assert used in loaded
+    assert not unused & set(loaded)
 
 
 def _first_difference(text, doc):
