@@ -45,9 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construct import (ConstructionParams, GeneratorTriple, TWISTED,
-                        EVEN_CONDITIONS, ODD_CONDITIONS, charpoly_coeffs,
-                        separated)
+from .construct import (ConstructionParams, GeneratorTriple,
+                        separation_table)
 from .gf import FieldElem
 from .grouporder import PermGroupCertificate, expected_group_order
 from .linalg import nullspace, rref_np
@@ -59,14 +58,6 @@ from .mat3 import (Mat3, intertwiner_np, standard_hermitian_form,
 LINE_ENUM_LIMIT = 2_000_000
 
 NONTRIVIAL_PERMS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-# prefix systems of one level of the aut sweep reduced in one stack.  It
-# bounds the transient arrays of the elimination (a few of up to
-# 128 x 18 x 9 int64), and a level of at most this many systems (q = 5:
-# 30, q = 8: 90, q = 16: 40) is a single stack, so it pays the per-call
-# cost of the elimination's numpy passes once
-SWEEP_STACK = 128
-
 
 class PreconditionUnmet(RuntimeError):
     """Automorphism certification requires a generation certificate."""
@@ -126,19 +117,10 @@ def fast_charpoly_check(cp: ConstructionParams) -> list[FastPathEntry]:
     the construction does not promise they hold.
     """
     fld = cp.field
-    relevant = set(proof_twist_exponents(fld.f))
-    conds = ODD_CONDITIONS if cp.parity == "odd" else EVEN_CONDITIONS
-    coeffs = charpoly_coeffs(fld, cp.parity, cp.a, cp.b)
-    out = []
-    for cond in conds:
-        if cond in TWISTED:
-            for i in range(2 * fld.f):
-                holds = separated(coeffs, cond, i)
-                out.append(FastPathEntry(cond, i, i in relevant, holds))
-        else:
-            holds = separated(coeffs, cond)
-            out.append(FastPathEntry(cond, None, True, holds))
-    return out
+    relevant = proof_twist_exponents(fld.f)
+    return [FastPathEntry(cond, i, i is None or i in relevant, holds)
+            for cond, i, holds in separation_table(
+                fld, cp.parity, cp.a, cp.b, range(2 * fld.f))]
 
 
 def _nullspace_lines(basis, fld):
@@ -234,15 +216,17 @@ def _rank_deficient(source, centers) -> np.ndarray:
     the reduced echelon basis of their rows, which is unique whatever the
     order of the rows or the other systems of the stack.  So level k
     reduces each prefix live after level k - 1 once per c_k, its basis
-    stacked over block k, SWEEP_STACK systems to a stack, and that basis
-    serves every query extending the prefix.  A prefix that reaches rank 9
-    is dropped, which settles all its queries: its basis spans GF(q^2)^9,
-    so no later row changes the row space, and the only solution is
-    D = 0, which is not invertible.  The prefixes live after block 2 are
-    the queries of rank below 9, in ascending order; for a GRR triple,
-    none.  For involutions only c_k = 1 keeps a prefix live, as
-    A'_k D = c D B_k has only D = 0 when the spectra +-1 and +-c are
-    disjoint; the code does not rely on it.
+    stacked over block k, the whole level in one rref_np stack, and that
+    basis serves every query extending the prefix.  A level of a GRR
+    triple holds at most 5 . 2f . C systems (210 at q = 128), and one of a
+    degenerate triple at most 5 . 2f . C^3 (810 at q = 8, about 1 MB).  A
+    prefix that reaches rank 9 is dropped, which settles all its queries:
+    its basis spans GF(q^2)^9, so no later row changes the row space, and
+    the only solution is D = 0, which is not invertible.  The prefixes
+    live after block 2 are the queries of rank below 9, in ascending
+    order; for a GRR triple, none.  For involutions only c_k = 1 keeps a
+    prefix live, as A'_k D = c D B_k has only D = 0 when the spectra +-1
+    and +-c are disjoint; the code does not rely on it.
     """
     fld = source[0].field
     twists = np.array([[a.frobenius(i).flat_indices for a in source]
@@ -259,19 +243,11 @@ def _rank_deficient(source, centers) -> np.ndarray:
     basis = np.zeros((len(live), 0, 9), dtype=np.int64)
     for k in range(3):
         ext = (live[:, None] * n + np.arange(n)).ravel()
-        # the empty heads keep the concatenations defined once no prefix
-        # is live (a source of non-involutions can get there before block 2)
-        kept, bases = [ext[:0]], [np.zeros((0, 9, 9), dtype=np.int64)]
-        for start in range(0, len(ext), SWEEP_STACK):
-            e = ext[start:start + SWEEP_STACK]
-            parent = np.arange(start, start + len(e)) // n
-            block = blocks[k][e // n ** (k + 1), e % n]
-            reduced, rank = rref_np(
-                np.concatenate([basis[parent], block], axis=1), fld)
-            keep = rank < 9
-            kept.append(e[keep])
-            bases.append(reduced[keep, :9])
-        live, basis = np.concatenate(kept), np.concatenate(bases)
+        block = blocks[k][ext // n ** (k + 1), ext % n]
+        reduced, rank = rref_np(
+            np.concatenate([basis.repeat(n, axis=0), block], axis=1), fld)
+        keep = rank < 9
+        live, basis = ext[keep], reduced[keep, :9]
     return live
 
 
@@ -284,9 +260,9 @@ def aut_group_trivial(t: GeneratorTriple,
     re-verified); soundness of "trivial" additionally needs the triple to
     generate, which is why a matching generation certificate is required.
 
-    The systems of the sweep are reduced in stacks (_rank_deficient); a
-    query whose system has full rank 9 has no conjugator, and only the
-    others go to solve_twisted_conjugacy.
+    The systems of the sweep are reduced one stack per block level
+    (_rank_deficient); a query whose system has full rank 9 has no
+    conjugator, and only the others go to solve_twisted_conjugacy.
     """
     fld = t.field
     expected = expected_group_order(fld.q)

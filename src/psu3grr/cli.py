@@ -29,8 +29,9 @@ except two on A47 (Fang, Li, Wang and Xu 2002; Xu, Fang, Wang and Li
 Certificates are deterministic: byte-identical across runs except for the
 generated_at timestamp, which is excluded from the certificate hash.
 
-Exit codes: 0 success, 2 refusal (q out of scope), 3 stage failure,
-4 internal inconsistency (fast path and oracle disagree impossibly).
+Exit codes: 0 success, 2 refusal (q out of scope), 3 stage failure, a bad
+argument or an unwritable output file, 4 internal inconsistency (fast path
+and oracle disagree impossibly).
 
 A run loads only the modules it calls: gf, mat3, construct, grouporder
 and linalg with cli, and autcheck (aut stage), cayley (graph stage,
@@ -75,6 +76,7 @@ EXIT_REFUSED = 2
 EXIT_STAGE_FAILED = 3
 EXIT_INCONSISTENT = 4
 
+# each stage is listed after its dependencies
 STAGE_DEPS = {
     "search": (),
     "construct": ("search",),
@@ -84,7 +86,6 @@ STAGE_DEPS = {
     "graph": ("order",),
 }
 VERDICT_STAGES = ("search", "construct", "order", "irreducible", "aut")
-STAGE_RUN_ORDER = ("search", "construct", "order", "irreducible", "aut", "graph")
 
 # order certification above this permutation degree needs an explicit flag;
 # every q <= 128 (degree <= 2 097 153) certifies in at most about 15 s and
@@ -113,22 +114,22 @@ class RunConfig(NamedTuple):
     p: int
     f: int
     stages: tuple[str, ...] = VERDICT_STAGES
-    jobs: int = 1
     allow_large_order: bool = False
     allow_large_graph: bool = False
 
 
 def _close_stages(requested) -> tuple[str, ...]:
-    """The requested stages and their dependencies, in STAGE_RUN_ORDER,
-    which lists each stage after its dependencies: one reverse pass."""
+    """The requested stages and their dependencies, in the order of
+    STAGE_DEPS, which lists each stage after its dependencies: one reverse
+    pass."""
     for s in requested:
         if s not in STAGE_DEPS:
             raise ValueError(f"unknown stage: {s}")
     wanted = set(requested)
-    for s in reversed(STAGE_RUN_ORDER):
+    for s in reversed(STAGE_DEPS):
         if s in wanted:
             wanted.update(STAGE_DEPS[s])
-    return tuple(s for s in STAGE_RUN_ORDER if s in wanted)
+    return tuple(s for s in STAGE_DEPS if s in wanted)
 
 
 # the text of each scalar type json writes, looked up by exact type
@@ -545,7 +546,7 @@ def main(argv=None) -> int:
             if args.jobs < 1:
                 raise ValueError("--jobs must be at least 1")
             stages = tuple(args.stage) if args.stage else VERDICT_STAGES
-            cfg = RunConfig(args.p, args.f, stages=stages, jobs=args.jobs,
+            cfg = RunConfig(args.p, args.f, stages=stages,
                             allow_large_order=args.allow_large_order,
                             allow_large_graph=args.allow_large_graph)
             cert, code = run_certify(cfg)
@@ -563,7 +564,7 @@ def main(argv=None) -> int:
             doc.update(frag)
         _emit(doc, args.out)
         return EXIT_OK
-    except (RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_STAGE_FAILED
 

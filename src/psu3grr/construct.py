@@ -137,6 +137,13 @@ def exponent_set(f: int, parity: str) -> tuple[int, ...]:
 
     Odd: {0, f/g, 2f/g} with g = gcd(3, f); even: {0, f, 2f/g, 4f/g}.
     Entries are reduced mod 2f, deduplicated and sorted.
+
+    The set covers every twist an automorphism of order 1, 2 or 3 can use
+    (autcheck.proof_twist_exponents).  The two are equal except for odd q
+    with 3 | f, (0, f/3, 2f/3) against (0, 2f/3, f, 4f/3), which agree
+    mod f.  That suffices: every odd coefficient lies in GF(q) (a has
+    order q - 1 and b^(q+1) is a norm), where the twist by p^i depends
+    only on i mod f.
     """
     g = gcd(3, f)
     if parity == "odd":
@@ -186,15 +193,25 @@ def separated(coeffs: dict[str, FieldElem], cond: str,
     return left != right
 
 
+def separation_table(field: Field, parity: str, a: FieldElem, b: FieldElem,
+                     twists):
+    """Yield (condition, twist, holds) for every separation condition of
+    the parity, in certificate order: a twisted condition once per given
+    twist, any other once with twist None.  The coefficients are computed
+    once; the table is lazy, so all() over it stops at the first failure.
+    """
+    coeffs = charpoly_coeffs(field, parity, a, b)
+    for cond in ODD_CONDITIONS if parity == "odd" else EVEN_CONDITIONS:
+        for i in (twists if cond in TWISTED else (None,)):
+            yield cond, i, separated(coeffs, cond, i)
+
+
 def check_conditions(field: Field, parity: str, a: FieldElem, b: FieldElem,
                      exponents) -> bool:
     """Every separation condition of the parity, each twisted condition at
     every exponent of the set."""
-    coeffs = charpoly_coeffs(field, parity, a, b)
-    conds = ODD_CONDITIONS if parity == "odd" else EVEN_CONDITIONS
-    return all(separated(coeffs, cond, i)
-               for cond in conds
-               for i in (exponents if cond in TWISTED else (None,)))
+    return all(holds for _, _, holds in
+               separation_table(field, parity, a, b, exponents))
 
 
 def elements_of_order(field: Field, n: int):

@@ -193,12 +193,12 @@ def _is_scalar(rows):
 class _PendingPairs:
     """A level's pending Schreier pairs (orbit position, generator index).
 
-    The pairs are held in order as runs (a0, a1, g0, g1), each standing
-    for product(range(a0, a1), range(g0, g1)), position-major: add_gen
-    appends one run per new generator and _grow one per orbit layer, so a
-    level stores a few tuples however many pairs wait on it.  len()
-    counts pairs and iteration yields them in order, as a deque of pairs
-    would.
+    The pairs are held in order as runs [a0, g0, width, lo, hi]: pair i
+    of a run, for lo <= i < hi, is (a0 + i // width, g0 + i % width),
+    position-major.  add_gen appends one run per new generator and _grow
+    one per orbit layer, so a level stores a few lists however many pairs
+    wait on it; removing pairs advances lo.  len() counts pairs and
+    iteration yields them in order, as a deque of pairs would.
     """
 
     __slots__ = ("runs", "count")
@@ -211,48 +211,43 @@ class _PendingPairs:
         return self.count
 
     def __iter__(self):
-        for a0, a1, g0, g1 in self.runs:
-            yield from product(range(a0, a1), range(g0, g1))
+        for a0, g0, width, lo, hi in self.runs:
+            for i in range(lo, hi):
+                yield a0 + i // width, g0 + i % width
 
     def append(self, a0: int, a1: int, g0: int, g1: int):
+        """Queue product(range(a0, a1), range(g0, g1))."""
         if a0 < a1 and g0 < g1:
-            self.runs.append((a0, a1, g0, g1))
-            self.count += (a1 - a0) * (g1 - g0)
+            size = (a1 - a0) * (g1 - g0)
+            self.runs.append([a0, g0, g1 - g0, 0, size])
+            self.count += size
 
     def head(self, n: int):
         """The first min(n, len(self)) pairs, which must be at least one,
         as int64 arrays of positions and of generator indices.  Nothing
         is removed."""
         a_parts, g_parts = [], []
-        for a0, a1, g0, g1 in self.runs:
+        for a0, g0, width, lo, hi in self.runs:
             if n <= 0:
                 break
-            width = g1 - g0
-            k = min(n, (a1 - a0) * width)
-            row, col = np.divmod(np.arange(k, dtype=np.int64), width)
+            k = min(n, hi - lo)
+            row, col = np.divmod(np.arange(lo, lo + k, dtype=np.int64), width)
             a_parts.append(row + a0)
             g_parts.append(col + g0)
             n -= k
         return np.concatenate(a_parts), np.concatenate(g_parts)
 
     def drop(self, n: int):
-        """Remove the first n pairs.  A run cut inside a row leaves the
-        rest of that row, then its whole rows after it."""
+        """Remove the first n pairs, popping each run they use up."""
         self.count -= n
         runs = self.runs
         while n:
-            a0, a1, g0, g1 = runs.popleft()
-            width = g1 - g0
-            size = (a1 - a0) * width
-            if n < size:
-                a, r = divmod(n, width)
-                a += a0
-                if a + (r > 0) < a1:
-                    runs.appendleft((a + (r > 0), a1, g0, g1))
-                if r:
-                    runs.appendleft((a, a + 1, g0 + r, g1))
-                return
-            n -= size
+            run = runs[0]
+            k = min(n, run[4] - run[3])
+            run[3] += k
+            n -= k
+            if run[3] == run[4]:
+                runs.popleft()
 
 
 class _Level:

@@ -10,7 +10,8 @@ from psu3grr.autcheck import (AutCertificate, OracleEntry, PreconditionUnmet,
                               TwistedConjugacyQuery, aut_group_trivial,
                               fast_charpoly_check, proof_twist_exponents,
                               solve_twisted_conjugacy)
-from psu3grr.construct import GeneratorTriple, build_triple, search_params
+from psu3grr.construct import (GeneratorTriple, build_triple,
+                               charpoly_coeffs, search_params)
 from psu3grr.gf import field
 from psu3grr.grouporder import group_order
 from psu3grr.mat3 import standard_hermitian_form
@@ -113,6 +114,25 @@ def test_fast_path_entries_structure():
         assert e.relevant and e.holds
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_odd_exponent_set_covers_every_twist(p):
+    """At q = p^3 the search checks the twists (0, 1, 2) and an
+    automorphism can use (0, 2, 3, 4).  Every odd coefficient lies in
+    GF(q), so x -> x^q fixes it, each condition holds at twist i exactly
+    when it holds at i mod f, and every relevant fast-path entry holds."""
+    F, cp, t = _pipeline(p, 3)
+    assert cp.exponent_set == (0, 1, 2)
+    assert proof_twist_exponents(F.f) == (0, 2, 3, 4)
+    coeffs = charpoly_coeffs(F, cp.parity, cp.a, cp.b)
+    assert all(c.frobenius(F.f) == c for c in coeffs.values())
+    entries = fast_charpoly_check(cp)
+    at = {(e.condition, e.twist): e.holds for e in entries}
+    for e in entries:
+        if e.twist is not None:
+            assert e.holds == at[e.condition, e.twist % F.f]
+    assert all(e.holds for e in entries if e.relevant)
+
+
 def test_fast_path_detects_lost_obstruction():
     """Forcing a = 1 kills the xy/xz separation; the entry must go false."""
     F, cp, t = _pipeline(5, 1)
@@ -140,9 +160,9 @@ def test_degenerate_triple_has_nontrivial_symmetry():
 
 
 def test_sweep_memory_is_bounded():
-    """The q = 8 sweep (810 queries) reduces shared block prefixes a
-    level at a time, at most SWEEP_STACK systems to a stack, so its
-    allocations stay small."""
+    """The q = 8 sweep (810 queries) reduces shared block prefixes one
+    level at a time, 90 systems to a level's stack, so its allocations
+    stay small."""
     F, cp, t = _pipeline(2, 3)
     cert_g = group_order(t)
     aut_group_trivial(t, cert_g)

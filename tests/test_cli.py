@@ -251,6 +251,20 @@ def test_main_export_graph(tmp_path, capsys):
         == GRAPH_HASHES[4][1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--p", "2", "--f", "2", "--stage", "search"],
+    ["export-graph", "--p", "2", "--f", "2"],
+], ids=["certify", "export-graph"])
+def test_unwritable_out_exits_3(argv, tmp_path, capsys):
+    """An --out path in a missing directory is an error: line on stderr
+    and exit 3, not a traceback."""
+    out = tmp_path / "missing" / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_STAGE_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("p,f,message", [
     (3, 3, "282056445216 vertices exceeds the default gate"),
     (7, 2, "33219371640000 vertices exceeds the default gate"),

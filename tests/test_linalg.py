@@ -255,10 +255,11 @@ def test_block_staging_matches_full_ranks(p, f):
 
 
 @pytest.mark.parametrize("p,f,calls,systems", [
-    (5, 1, 3, 90), (2, 3, 3, 270), (2, 5, 6, 450), (2, 4, 3, 120)])
+    (5, 1, 3, 90), (2, 3, 3, 270), (2, 5, 3, 450), (2, 4, 3, 120),
+    (2, 7, 3, 630)])
 def test_sweep_reduces_each_prefix_once(p, f, calls, systems, monkeypatch):
     """The sweep reduces only the extensions of the prefixes still below
-    rank 9, SWEEP_STACK systems to an rref_np call.  The GRR triple keeps
+    rank 9, one rref_np call per block level.  The GRR triple keeps
     one in C of them live after blocks 0 and 1, so each level reduces
     5 x 2f x C systems, against 5 x 2f x C^3 queries (C centre scalars)."""
     stacks = []
