@@ -19,19 +19,25 @@ Stages and their dependencies:
     aut         automorphism-triviality sweep           (needs order)
     graph       explicit Cayley graph (gated by size)   (needs order)
 
-The GRR verdict is GRR_CONFIRMED only when search, construct, order,
-irreducible and aut all ran and passed; running a subset yields verdict
-INCOMPLETE.  Order shows that S generates G = PSU3(q) and aut that
-Aut(G, S) = 1.  Then Cay(G, S) is a GRR because it is normal (Godsil
-1981): for nonabelian simple G every connected cubic Cayley graph is,
-except two on A47 (Fang, Li, Wang and Xu 2002; Xu, Fang, Wang and Li
-2007; see autcheck), and PSU3(q), q >= 4, is nonabelian simple, not A47.
+A stage returns its certificate fragment or raises StageFailure with
+it; the runner alone stamps each fragment's "status" ("pass" or "fail")
+and sets the verdict.  A failing stage ends the run, so the verdict is
+GRR_CONFIRMED exactly when search, construct, order, irreducible and aut
+were all recorded; running a subset yields verdict INCOMPLETE.
+
+Order shows that S generates G = PSU3(q) and aut that Aut(G, S) = 1.
+Then Cay(G, S) is a GRR because it is normal (Godsil 1981): for
+nonabelian simple G every connected cubic Cayley graph is, except two on
+A47 (Fang, Li, Wang and Xu 2002; Xu, Fang, Wang and Li 2007; see
+autcheck), and PSU3(q), q >= 4, is nonabelian simple, not A47.
 Certificates are deterministic: byte-identical across runs except for the
 generated_at timestamp, which is excluded from the certificate hash.
 
 Exit codes: 0 success, 2 refusal (q out of scope), 3 stage failure, a bad
 argument or an unwritable output file, 4 internal inconsistency (fast path
-and oracle disagree impossibly).
+and oracle disagree impossibly).  An --out path is checked before any
+stage runs (its directory must exist and be writable), so a bad one
+costs no run and leaves no file.
 
 A run loads only the modules it calls: gf, mat3, construct, grouporder
 and linalg with cli, and autcheck (aut stage), cayley (graph stage,
@@ -57,6 +63,7 @@ import datetime
 import gc
 import hashlib
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -94,20 +101,17 @@ VERDICT_STAGES = ("search", "construct", "order", "irreducible", "aut")
 ORDER_DEGREE_GATE = 2100000
 
 
-class StageError(RuntimeError):
-    """A stage error that carries the stage's certificate fragment."""
+class StageFailure(RuntimeError):
+    """A certification check failed; carries the stage's fragment, which
+    the runner records with status "fail"."""
 
-    def __init__(self, message, fragment=None):
+    def __init__(self, message, fragment):
         super().__init__(message)
         self.fragment = fragment
 
 
-class InternalInconsistency(StageError):
+class InternalInconsistency(StageFailure):
     """Fast path and oracle disagreed in the impossible direction."""
-
-
-class StageFailure(StageError):
-    """A certification check failed; carries the stage's diagnostics."""
 
 
 class RunConfig(NamedTuple):
@@ -245,7 +249,6 @@ def _stage_search(state, cfg: RunConfig) -> dict:
     cp = search_params(state["field"])
     state["params"] = cp
     return {
-        "status": "pass",
         "parity": cp.parity,
         "b": cp.b.to_str(),
         "a": cp.a.to_str(),
@@ -267,7 +270,6 @@ def _stage_construct(state, cfg: RunConfig) -> dict:
     inv_orders = [matrix_order(m) for m in t.matrices]
     proj_orders = [projective_order(m) for m in t.matrices]
     out = {
-        "status": "pass",
         "X": t.X.to_str(),
         "Y": t.Y.to_str(),
         "Z": t.Z.to_str(),
@@ -278,10 +280,8 @@ def _stage_construct(state, cfg: RunConfig) -> dict:
         "rotation_order_expected": rot_expected,
     }
     if inv_orders != [2, 2, 2] or proj_orders != [2, 2, 2]:
-        out["status"] = "fail"
         raise StageFailure("generators are not involutions", out)
     if rot_order != rot_expected:
-        out["status"] = "fail"
         raise StageFailure(
             f"rotation order {rot_order}, expected {rot_expected}", out)
     return out
@@ -304,24 +304,18 @@ def _stage_order(state, cfg: RunConfig) -> dict:
         # chain past |PSU3(q)| means the chain or that argument is wrong
         raise InternalInconsistency(
             f"generation chain exceeded |PSU3({fld.q})|: {exc}",
-            {"status": "fail", "degree": degree,
-             "expected_order": expected}) from exc
+            {"degree": degree, "expected_order": expected}) from exc
     dihedral = dihedral_image_order(t, action)
     dihedral_expected = (2 * (fld.q - 1) if state["params"].parity == "odd"
                          else 2 * (fld.q + 1))
     state["order_cert"] = cert
     out = cert.as_dict(expected)
-    out.update({
-        "status": "pass" if cert.order == expected else "fail",
-        "dihedral_order": dihedral,
-        "dihedral_order_expected": dihedral_expected,
-    })
+    out["dihedral_order"] = dihedral
+    out["dihedral_order_expected"] = dihedral_expected
     if cert.order != expected:
-        out["status"] = "fail"
         raise StageFailure(
             f"group order {cert.order} != |PSU3({fld.q})| = {expected}", out)
     if dihedral != dihedral_expected:
-        out["status"] = "fail"
         raise StageFailure(
             f"dihedral image order {dihedral} != {dihedral_expected}", out)
     return out
@@ -332,11 +326,10 @@ def _stage_irreducible(state, cfg: RunConfig) -> dict:
     no_invariant = invariant_subspace_test(t)
     comm = commutant_dimension(t)
     out = {
-        "status": "pass" if (no_invariant and comm == 1) else "fail",
         "invariant_subspace_test": no_invariant,
         "commutant_dimension": comm,
     }
-    if out["status"] != "pass":
+    if not (no_invariant and comm == 1):
         raise StageFailure("irreducibility certification failed", out)
     return out
 
@@ -345,7 +338,6 @@ def _stage_aut(state, cfg: RunConfig) -> dict:
     t = state["triple"]
     cert = aut_group_trivial(t, state["order_cert"])
     out = {
-        "status": "pass" if cert.verdict == "trivial" else "fail",
         "verdict": cert.verdict,
         "queries": cert.queries,
         "fast_path_holds": cert.fast_path_holds,
@@ -383,7 +375,6 @@ def _stage_graph(state, cfg: RunConfig) -> dict:
     g = build_graph(t, expected, allow_large=cfg.allow_large_graph)
     state["graph"] = g
     return {
-        "status": "pass",
         "vertices": g.vertex_count,
         "edges": len(g.edges),
         "edge_list_sha256": edge_list_sha256(g),
@@ -418,19 +409,16 @@ def _run(cfg: RunConfig) -> tuple[dict, int, dict]:
             try:
                 frag = globals()[f"_stage_{stage}"](state, cfg)
             except RuntimeError as exc:  # every FAILED or exit-4 cause
-                fragment = getattr(exc, "fragment", None)
-                if fragment is not None:
-                    cert["stages"][stage] = fragment
+                if isinstance(exc, StageFailure):
+                    cert["stages"][stage] = {**exc.fragment, "status": "fail"}
                     cert["stages_run"].append(stage)
                 cert["failed_stage"] = stage
                 raise
-            cert["stages"][stage] = frag
+            cert["stages"][stage] = {**frag, "status": "pass"}
             cert["stages_run"].append(stage)
-        if all(s in cert["stages"] and cert["stages"][s]["status"] == "pass"
-               for s in VERDICT_STAGES):
-            cert["verdict"] = "GRR_CONFIRMED"
-        else:
-            cert["verdict"] = "INCOMPLETE"
+        # a failing stage raises, so every recorded stage passed
+        cert["verdict"] = ("GRR_CONFIRMED" if all(
+            s in cert["stages"] for s in VERDICT_STAGES) else "INCOMPLETE")
     except UnsupportedQ as exc:
         cert["verdict"] = "REFUSED"
         cert["reason"] = "UnsupportedQ"
@@ -457,6 +445,20 @@ def run_certify(cfg: RunConfig) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
+
+def _check_out(out_path: str | None):
+    """Refuse, before any stage runs, an --out path whose directory is
+    missing or not writable, or that is a directory.  It creates nothing,
+    and the open in _emit or _export_graph still reports a later race."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        raise OSError(f"--out {out_path} is a directory")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise OSError(f"--out {out_path}: {parent} is not a writable "
+                      "directory")
+
 
 def _emit(doc: dict, out_path: str | None):
     text = stable_json(doc)
@@ -495,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "dependencies are added automatically); default: all "
                    "verdict stages")
     s.add_argument("--jobs", type=int, default=1,
-                   help="worker cap (execution is single-threaded; values "
-                   "above 1 are accepted and capped)")
+                   help="accepted and ignored: execution is single-threaded "
+                   "(must be at least 1)")
     s.add_argument("--allow-large-order", action="store_true",
                    help="certify group order above the degree gate")
     s.add_argument("--allow-large-graph", action="store_true",
@@ -537,6 +539,7 @@ def _export_graph(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         if args.command == "negative-control-q3":
             _emit(run_negative_control_q3(), args.out)
             return EXIT_OK

@@ -53,13 +53,9 @@ TWISTED = {"yz-xy", "yz-xz", "zx-zy", "zx-xy"}
 CENSUS_BLOCK = 1 << 14
 
 
-def parity_of(field: Field) -> str:
-    return "even" if field.p == 2 else "odd"
-
-
 def require_supported(field: Field) -> str:
     """Parity tag for a supported q, or UnsupportedQ."""
-    parity = parity_of(field)
+    parity = "even" if field.p == 2 else "odd"
     if parity == "odd" and field.q < 5:
         raise UnsupportedQ(
             f"q = {field.q}: odd characteristic needs q >= 5 "

@@ -498,10 +498,6 @@ class FieldElem:
     def __hash__(self):
         return hash((id(self.field), self.index))
 
-    def __lt__(self, other):
-        self._check(other)
-        return self.index < other.index
-
     def to_str(self) -> str:
         """Serialize as "c0,c1,...,c_{2f-1}" (low degree first)."""
         return ",".join(str(c) for c in self.coeffs)

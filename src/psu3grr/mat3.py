@@ -55,17 +55,9 @@ class Mat3:
 
     @classmethod
     def from_rows(cls, field: Field, rows):
-        """Rows of FieldElem, coefficient iterables, or plain ints."""
-        flat = []
-        for row in rows:
-            for x in row:
-                if isinstance(x, FieldElem):
-                    flat.append(x)
-                elif isinstance(x, int):
-                    flat.append(field.from_int(x))
-                else:
-                    flat.append(field.from_coeffs(x))
-        return cls(field, flat)
+        """Rows of FieldElem or plain ints (an int n is n mod p)."""
+        return cls(field, [x if isinstance(x, FieldElem) else field.from_int(x)
+                           for row in rows for x in row])
 
     @classmethod
     def identity(cls, field: Field):

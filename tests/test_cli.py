@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import psu3grr
-from psu3grr import cli, grouporder
+from psu3grr import cli, grouporder, mat3
 from psu3grr.autcheck import OracleEntry
 from psu3grr.cli import (EXIT_OK, EXIT_REFUSED, EXIT_STAGE_FAILED, RunConfig,
                          VERDICT_STAGES, _close_stages, certificate_hash,
@@ -265,6 +265,35 @@ def test_unwritable_out_exits_3(argv, tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["certify", "--p", "5", "--f", "1", "--stage", "order"], "x.json"),
+    (["export-graph", "--p", "2", "--f", "2"], "x.edges"),
+], ids=["certify", "export-graph"])
+def test_unwritable_out_fails_before_any_stage(argv, name, monkeypatch,
+                                               tmp_path, capsys):
+    """--out is checked before the run: no stage (here the generation
+    chain) runs for an output that could not be written."""
+    def no_chain(*args, **kwargs):
+        raise AssertionError("generation chain built before the --out check")
+    monkeypatch.setattr(cli, "group_order", no_chain)
+    out = tmp_path / "missing" / name
+    assert main([*argv, "--out", str(out)]) == EXIT_STAGE_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_exits_3(monkeypatch, tmp_path, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran before the --out check")
+    monkeypatch.setattr(cli, "search_params", no_search)
+    code = main(["certify", "--p", "5", "--f", "1", "--out", str(tmp_path)])
+    assert code == EXIT_STAGE_FAILED
+    err = capsys.readouterr().err
+    assert err == f"error: --out {tmp_path} is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("p,f,message", [
     (3, 3, "282056445216 vertices exceeds the default gate"),
     (7, 2, "33219371640000 vertices exceeds the default gate"),
@@ -301,6 +330,49 @@ def test_stage_failure_keeps_diagnostics(monkeypatch):
     frag = cert["stages"]["order"]
     assert frag["status"] == "fail"
     assert frag["order"] == 126000 and frag["expected_order"] == 1
+
+
+def _nontrivial_aut(t, order_cert):
+    """A nontrivial aut certificate whose relevant fast-path entry fails:
+    a failed check (exit 3), not an inconsistency (exit 4)."""
+    from psu3grr.autcheck import AutCertificate, FastPathEntry
+    entry = OracleEntry((1, 0, 2), 0, ("1", "1", "1"), True)
+    return AutCertificate(
+        fast_path=[FastPathEntry("xy-xz", 0, True, False)],
+        oracle_path=[entry], verdict="nontrivial",
+        witness=t.X, witness_query=entry, queries=1)
+
+
+@pytest.mark.parametrize("name,fake,stage,diagnostics", [
+    ("projective_order",
+     lambda m: 2 if mat3.projective_order(m) == 2 else 7, "construct",
+     {"projective_orders": [2, 2, 2], "rotation_order": 7,
+      "rotation_order_expected": 4}),
+    ("dihedral_image_order", lambda t, action: 6, "order",
+     {"order": 126000, "dihedral_order": 6, "dihedral_order_expected": 8}),
+    ("commutant_dimension", lambda t: 2, "irreducible",
+     {"invariant_subspace_test": True, "commutant_dimension": 2}),
+    ("aut_group_trivial", _nontrivial_aut, "aut",
+     {"verdict": "nontrivial", "fast_path_holds": False, "queries": 1,
+      "witness_query": {"perm": [1, 0, 2], "twist": 0,
+                        "scalars": ["1", "1", "1"]}}),
+], ids=["rotation-order", "dihedral-order", "commutant", "aut-nontrivial"])
+def test_runner_records_each_stage_failure(name, fake, stage, diagnostics,
+                                           monkeypatch):
+    """Each stage's failed check reaches the runner, which records the
+    stage's fragment with status "fail" after the stages that passed."""
+    monkeypatch.setattr(cli, name, fake)
+    cert, code = run_certify(RunConfig(5, 1))
+    assert code == EXIT_STAGE_FAILED
+    assert cert["verdict"] == "FAILED"
+    assert cert["failed_stage"] == stage
+    assert cert["stages_run"][-1] == stage
+    frag = cert["stages"][stage]
+    assert frag["status"] == "fail"
+    assert {k: frag[k] for k in diagnostics} == diagnostics
+    assert all(cert["stages"][s]["status"] == "pass"
+               for s in cert["stages_run"][:-1])
+    assert cert["certificate_hash"] == certificate_hash(cert)
 
 
 def test_internal_inconsistency_exit_code(monkeypatch):
