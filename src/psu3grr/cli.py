@@ -36,8 +36,8 @@ generated_at timestamp, which is excluded from the certificate hash.
 Exit codes: 0 success, 2 refusal (q out of scope), 3 stage failure, a bad
 argument or an unwritable output file, 4 internal inconsistency (fast path
 and oracle disagree impossibly).  An --out path is checked before any
-stage runs (its directory must exist and be writable), so a bad one
-costs no run and leaves no file.
+stage runs (its directory must exist and be writable, and so must the
+file if it exists), so a bad one costs no run and leaves no file.
 
 A run loads only the modules it calls: gf, mat3, construct, grouporder
 and linalg with cli, and autcheck (aut stage), cayley (graph stage,
@@ -254,19 +254,15 @@ def _stage_search(state, cfg: RunConfig) -> dict:
         "a": cp.a.to_str(),
         "exponent_set": list(cp.exponent_set),
         "census": cp.a_census,
-        "b_census": count_valid_b(state["field"], cp.parity),
+        "b_census": count_valid_b(state["field"]),
     }
 
 
 def _stage_construct(state, cfg: RunConfig) -> dict:
-    cp = state["params"]
-    t = build_triple(cp)
+    t = build_triple(state["params"])
     state["triple"] = t
-    fld = cp.field
-    q = fld.q
-    rotation = t.Y * t.Z if cp.parity == "odd" else t.Z * t.Y
+    name, rotation, rot_expected = t.rotation
     rot_order = projective_order(rotation)
-    rot_expected = q - 1 if cp.parity == "odd" else q + 1
     inv_orders = [matrix_order(m) for m in t.matrices]
     proj_orders = [projective_order(m) for m in t.matrices]
     out = {
@@ -275,7 +271,7 @@ def _stage_construct(state, cfg: RunConfig) -> dict:
         "Z": t.Z.to_str(),
         "matrix_orders": inv_orders,
         "projective_orders": proj_orders,
-        "rotation": "yz" if cp.parity == "odd" else "zy",
+        "rotation": name,
         "rotation_order": rot_order,
         "rotation_order_expected": rot_expected,
     }
@@ -306,12 +302,17 @@ def _stage_order(state, cfg: RunConfig) -> dict:
             f"generation chain exceeded |PSU3({fld.q})|: {exc}",
             {"degree": degree, "expected_order": expected}) from exc
     dihedral = dihedral_image_order(t, action)
-    dihedral_expected = (2 * (fld.q - 1) if state["params"].parity == "odd"
-                         else 2 * (fld.q + 1))
+    dihedral_expected = 2 * t.rotation[2]
     state["order_cert"] = cert
-    out = cert.as_dict(expected)
-    out["dihedral_order"] = dihedral
-    out["dihedral_order_expected"] = dihedral_expected
+    out = {
+        "degree": cert.degree,
+        "order": cert.order,
+        "base": list(cert.base),
+        "orbit_lengths": list(cert.orbit_lengths),
+        "expected_order": expected,
+        "dihedral_order": dihedral,
+        "dihedral_order_expected": dihedral_expected,
+    }
     if cert.order != expected:
         raise StageFailure(
             f"group order {cert.order} != |PSU3({fld.q})| = {expected}", out)
@@ -448,13 +449,16 @@ def run_certify(cfg: RunConfig) -> tuple[dict, int]:
 
 def _check_out(out_path: str | None):
     """Refuse, before any stage runs, an --out path whose directory is
-    missing or not writable, or that is a directory.  It creates nothing,
-    and the open in _emit or _export_graph still reports a later race."""
+    missing or not writable, that is a directory, or that is an existing
+    file the user cannot write.  It creates nothing, and the open in _emit
+    or _export_graph still reports a later race."""
     if not out_path:
         return
     parent = os.path.dirname(out_path) or "."
     if os.path.isdir(out_path):
         raise OSError(f"--out {out_path} is a directory")
+    if os.path.exists(out_path) and not os.access(out_path, os.W_OK):
+        raise OSError(f"--out {out_path} is not writable")
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
         raise OSError(f"--out {out_path}: {parent} is not a writable "
                       "directory")

@@ -65,6 +65,11 @@ def require_supported(field: Field) -> str:
     return parity
 
 
+def rotation_order(field: Field, parity: str) -> int:
+    """Order of a and of the rotation: q - 1 for odd q, q + 1 for even q."""
+    return field.q - 1 if parity == "odd" else field.q + 1
+
+
 class ConstructionParams(NamedTuple):
     field: Field
     parity: str
@@ -87,6 +92,15 @@ class GeneratorTriple(NamedTuple):
     @property
     def matrices(self) -> tuple[Mat3, Mat3, Mat3]:
         return (self.X, self.Y, self.Z)
+
+    @property
+    def rotation(self) -> tuple[str, Mat3, int]:
+        """(name, matrix, expected projective order) of the rotation: Y Z
+        of order q - 1 for odd q, Z Y of order q + 1 for even q."""
+        expected = rotation_order(self.field, self.params.parity)
+        if self.params.parity == "odd":
+            return "yz", self.Y * self.Z, expected
+        return "zy", self.Z * self.Y, expected
 
 
 def valid_b_blocks(field: Field, parity: str):
@@ -113,19 +127,18 @@ def valid_b_blocks(field: Field, parity: str):
         yield b[valid]
 
 
-def find_b(field: Field, parity: str | None = None) -> FieldElem:
+def find_b(field: Field) -> FieldElem:
     """First b in enumeration order of `valid_b_blocks`."""
-    parity = parity or require_supported(field)
-    for valid in valid_b_blocks(field, parity):
+    for valid in valid_b_blocks(field, require_supported(field)):
         if len(valid):
             return FieldElem(field, int(valid[0]))
     raise NoValidParams(f"no valid b in GF({field.q}^2)")  # trace is onto; unreachable
 
 
-def count_valid_b(field: Field, parity: str | None = None) -> int:
+def count_valid_b(field: Field) -> int:
     """How many b in the whole field `valid_b_blocks` yields."""
-    parity = parity or require_supported(field)
-    return sum(len(valid) for valid in valid_b_blocks(field, parity))
+    return sum(len(valid) for valid in
+               valid_b_blocks(field, require_supported(field)))
 
 
 def exponent_set(f: int, parity: str) -> tuple[int, ...]:
@@ -210,20 +223,15 @@ def check_conditions(field: Field, parity: str, a: FieldElem, b: FieldElem,
                separation_table(field, parity, a, b, exponents))
 
 
-def elements_of_order(field: Field, n: int):
-    """Elements of exact multiplicative order n, in enumeration order."""
-    return [FieldElem(field, i) for i in field.indices_of_order(n)]
-
-
 def search_params(field: Field) -> ConstructionParams:
     """First valid (b, a) plus the census of valid a for that b."""
     parity = require_supported(field)
-    b = find_b(field, parity)
+    b = find_b(field)
     exponents = exponent_set(field.f, parity)
-    target_order = field.q - 1 if parity == "odd" else field.q + 1
+    target_order = rotation_order(field, parity)
     first_a = None
     census = 0
-    for a in elements_of_order(field, target_order):
+    for a in map(field.from_index, field.indices_of_order(target_order)):
         if check_conditions(field, parity, a, b, exponents):
             census += 1
             if first_a is None:

@@ -250,10 +250,6 @@ class Field:
         for i in range(self.size):
             yield FieldElem(self, i)
 
-    def nonzero_elements(self):
-        for i in range(1, self.size):
-            yield FieldElem(self, i)
-
     # -- table construction --------------------------------------------------
 
     def _log_tables(self):
@@ -354,10 +350,6 @@ class Field:
                 raise ZeroDivisionError("inversion of the zero field element")
             return 0
         return self._exp[self._log[i] * e % self._mult_order]
-
-    def exp_index(self, k):
-        """Index of g^k, g the generator the log tables are built on."""
-        return self._exp[k % self._mult_order]
 
     def indices_of_order(self, n: int) -> list[int]:
         """Indices of the elements of multiplicative order exactly n, in
@@ -484,9 +476,6 @@ class FieldElem:
     def in_subfield(self) -> bool:
         """True iff the element lies in GF(q), the fixed field of x -> x^q."""
         return self.field.frob_index(self.index, self.field.f) == self.index
-
-    def is_zero(self) -> bool:
-        return self.index == 0
 
     def __bool__(self):
         return self.index != 0

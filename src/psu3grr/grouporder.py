@@ -47,9 +47,7 @@ import numpy as np
 
 from .construct import GeneratorTriple
 from .gf import Field, FieldElem
-# nullspace is not called here, but perfbench/tracer.py counts solves by
-# rebinding grouporder.nullspace, so the name stays
-from .linalg import nullspace, rref_np  # noqa: F401
+from .linalg import nullspace, rref_np
 from .mat3 import (Mat3, adjugate_np, intertwiner_np, is_special_unitary,
                    matmul_np, vecmat_np)
 
@@ -500,17 +498,6 @@ class PermGroupCertificate(NamedTuple):
     base: tuple[int, ...]
     orbit_lengths: tuple[int, ...]
 
-    def as_dict(self, expected_order: int | None = None):
-        out = {
-            "degree": self.degree,
-            "order": self.order,
-            "base": list(self.base),
-            "orbit_lengths": list(self.orbit_lengths),
-        }
-        if expected_order is not None:
-            out["expected_order"] = expected_order
-        return out
-
 
 def permutation_order_certificate(action: IsotropicAction, matrices,
                                   order_bound: int | None = None
@@ -619,10 +606,10 @@ def commutant_dimension(t: GeneratorTriple) -> int:
     dimension 3.  The identity triple gives 9.
 
     The equations M D - D M = 0 are the intertwiner blocks of each M with
-    itself, at the scalar 1 (mat3.intertwiner_np).
+    itself, at the scalar 1 (mat3.intertwiner_np); the commutant is their
+    nullspace.
     """
     fld = t.field
     flat = np.array([m.flat_indices for m in t.matrices])
     system = intertwiner_np(fld, flat, flat, fld.one.index)
-    _, rank = rref_np(system.reshape(1, -1, 9), fld)
-    return 9 - int(rank[0])
+    return len(nullspace(system.reshape(-1, 9), 9, fld))

@@ -38,20 +38,18 @@ class Mat3:
     __slots__ = ("field", "e")
 
     def __init__(self, field: Field, entries):
-        """entries: nine FieldElem in row-major order (flat or 3x3 rows)."""
-        flat = []
-        for x in entries:
-            if isinstance(x, FieldElem):
-                flat.append(x)
-            else:
-                flat.extend(x)
+        """entries: nine FieldElem in row-major order (for rows, see
+        from_rows)."""
+        flat = tuple(entries)
         if len(flat) != 9:
             raise ValueError("a 3x3 matrix needs exactly 9 entries")
         for x in flat:
+            if not isinstance(x, FieldElem):
+                raise ValueError(f"entry {x!r} is not a field element")
             if x.field is not field:
                 raise ValueError("entry from a different field")
         self.field = field
-        self.e = tuple(flat)
+        self.e = flat
 
     @classmethod
     def from_rows(cls, field: Field, rows):
@@ -71,9 +69,6 @@ class Mat3:
     @property
     def flat_indices(self) -> tuple[int, ...]:
         return tuple(x.index for x in self.e)
-
-    def entry(self, i: int, j: int) -> FieldElem:
-        return self.e[3 * i + j]
 
     def rows(self):
         return tuple(self.e[3 * i:3 * i + 3] for i in range(3))
@@ -118,18 +113,6 @@ class Mat3:
         s = det.inv()
         m = self.e
         return Mat3(self.field, tuple(s * _cofactor(m, t) for t in range(9)))
-
-    def __pow__(self, n: int) -> "Mat3":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Mat3.identity(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def char_poly(self) -> "CharPoly":
         """Coefficients of det(lambda*I - M) = l^3 + c2 l^2 + c1 l + c0.

@@ -193,9 +193,9 @@ def test_scalar_matching_forces_plain_equality():
     for p, f in [(5, 1), (2, 2)]:
         F = field(p, f)
         one = F.one
-        cubes = [s for s in F.nonzero_elements() if s ** 3 == one]
-        for c in list(F.nonzero_elements())[:40]:
-            for cp in list(F.nonzero_elements())[:40]:
+        cubes = [s for s in list(F.elements())[1:] if s ** 3 == one]
+        for c in list(list(F.elements())[1:])[:40]:
+            for cp in list(list(F.elements())[1:])[:40]:
                 solvable = any(s * c == cp and s * s * c == cp and
                                s ** 3 == one for s in cubes)
                 assert solvable == (c == cp)
@@ -209,5 +209,5 @@ def test_witnesses_are_similitudes():
     q = TwistedConjugacyQuery(t.matrices, t.matrices, 0, (one, one, one))
     d = solve_twisted_conjugacy(q)
     prod = d.conj_transpose() * w * d
-    c = prod.entry(0, 2) / w.entry(0, 2)
+    c = prod.e[2] / w.e[2]
     assert c and prod == w.scalar_mul(c)

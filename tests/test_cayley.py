@@ -231,16 +231,16 @@ def test_frame_points_are_isotropic_and_in_general_position(p, f):
 
     def form(u, v):
         conj = [x.frobenius(F.f) for x in u]
-        return sum((conj[i] * W.entry(i, j) * v[j]
+        return sum((conj[i] * W.e[3 * i + j] * v[j]
                     for i in range(3) for j in range(3)), F.zero)
 
     for v in frame:
-        assert form(v, v).is_zero()
+        assert not form(v, v)
     # distinct isotropic points are never orthogonal (Witt index 1), which
     # the three-point key relies on
     for u, v in combinations(frame, 2):
-        assert not form(u, v).is_zero()
-    assert not Mat3(F, frame).det().is_zero()
+        assert form(u, v)
+    assert Mat3.from_rows(F, frame).det()
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
@@ -255,9 +255,9 @@ def test_transposed_permutation_is_column_action(p, f):
     for s in build_triple(search_params(F)).matrices:
         perm = action.permutation(s.transpose())
         for k, v in enumerate(points):
-            w = [sum((s.entry(i, j) * v[j] for j in range(3)), F.zero)
+            w = [sum((s.e[3 * i + j] * v[j] for j in range(3)), F.zero)
                  for i in range(3)]
-            lead = next(x for x in w if not x.is_zero()).inv()
+            lead = next(x for x in w if x).inv()
             assert perm[k] == index[tuple((x * lead).index for x in w)]
 
 

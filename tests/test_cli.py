@@ -166,6 +166,8 @@ VERDICT_HASHES = {
     8: "028e63182b79219e4727e1c32e16f8fc7c9d4f9a4986b982eeb3881d50438f3a",
     9: "37f2e8cad9ad3c4ce3a7f1e5c6c01ea27304a91e2b276bd8f8fb8faa2129cd6f",
     11: "b5d6531af3f524074286b944fd2c5f0945784abab02e8877a3823657c2c2c3c7",
+    13: "9ac08cb85286a2d091174bf61a44f16892422e5a8c779508c9347d69cea9b0b9",
+    16: "a2df65090d876ec47cbfda28cca33c99537fdabfa92cc81935404b14b1cc1dab",
     27: "28a8f92ea530b366fb52d5a15fe3d81556d22a169d2f48856dad36d8e95accfe",
     32: "76ad14ad5176d5330eb7bc5cefe5ea24588deacd40bb0ac3925ebd72a0db0d4a",
     37: "38eb2f82fd414f624f61ba593ebc639be9b578fbc6000cfdc126bfb354599d96",
@@ -174,7 +176,8 @@ VERDICT_HASHES = {
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
-                                 (11, 1), (3, 3), (2, 5), (37, 1), (7, 2)])
+                                 (11, 1), (13, 1), (2, 4), (3, 3), (2, 5),
+                                 (37, 1), (7, 2)])
 def test_verdict_certificates_are_pinned(p, f):
     cert, code = run_certify(RunConfig(p, f))
     assert code == EXIT_OK
@@ -281,6 +284,42 @@ def test_unwritable_out_fails_before_any_stage(argv, name, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
     assert not out.parent.exists()
+
+
+def test_unwritable_existing_out_fails_before_any_stage(monkeypatch,
+                                                       tmp_path, capsys):
+    """An existing --out file the user cannot write is refused before the
+    run, and left as it was."""
+    out = tmp_path / "x.json"
+    out.write_text("kept\n")
+    access = os.access
+
+    def deny_out(path, mode, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            return False
+        return access(path, mode, *args, **kwargs)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("generation chain built before the --out check")
+    monkeypatch.setattr(os, "access", deny_out)
+    monkeypatch.setattr(cli, "group_order", no_chain)
+    argv = ["certify", "--p", "5", "--f", "1", "--stage", "order"]
+    assert main([*argv, "--out", str(out)]) == EXIT_STAGE_FAILED
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out} is not writable\n"
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mode bits")
+def test_read_only_out_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "ro.json"
+    out.write_text("kept\n")
+    out.chmod(0o444)
+    code = main(["certify", "--p", "2", "--f", "2", "--stage", "search",
+                 "--out", str(out)])
+    assert code == EXIT_STAGE_FAILED
+    assert capsys.readouterr().err == f"error: --out {out} is not writable\n"
+    assert out.read_text() == "kept\n"
 
 
 def test_out_naming_a_directory_exits_3(monkeypatch, tmp_path, capsys):

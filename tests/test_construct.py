@@ -7,11 +7,11 @@ from psu3grr.construct import (ConnectionSetError, ConstructionError,
                                ConstructionParams, UnsupportedQ,
                                build_triple, charpoly_coeffs,
                                check_conditions, check_connection_set,
-                               count_valid_b, elements_of_order,
-                               exponent_set, find_b, require_supported,
+                               count_valid_b, exponent_set, find_b,
+                               require_supported, rotation_order,
                                search_params, separated, valid_b_blocks)
 from psu3grr.gf import field
-from psu3grr.mat3 import Mat3, is_special_unitary
+from psu3grr.mat3 import Mat3, is_special_unitary, projective_order
 
 ODD_QS = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]
 EVEN_QS = [(2, 2), (2, 3), (2, 4), (2, 5)]
@@ -20,7 +20,7 @@ EVEN_QS = [(2, 2), (2, 3), (2, 4), (2, 5)]
 def _scan_valid_b(F, parity):
     """Independent oracle: direct scan with raw field operations."""
     out = []
-    for b in F.nonzero_elements():
+    for b in list(F.elements())[1:]:
         bq = b.frobenius(F.f)
         if b + bq != F.one:
             continue
@@ -100,7 +100,7 @@ def test_condition_xy_xz_fails_for_a_one():
 def test_condition_trace_nonzero_detects_zero_trace():
     F = field(2, 2)
     b = find_b(F)
-    bad = [a for a in F.nonzero_elements()
+    bad = [a for a in list(F.elements())[1:]
            if a + a.inv() + F.one == F.zero]
     for a in bad:
         assert not separated(charpoly_coeffs(F, "even", a, b),
@@ -122,7 +122,7 @@ def test_search_params_census_matches_exhaustive_scan():
     F = field(13, 1)
     cp = search_params(F)
     I = exponent_set(F.f, "odd")
-    census = sum(1 for a in elements_of_order(F, F.q - 1)
+    census = sum(1 for a in map(F.from_index, F.indices_of_order(F.q - 1))
                  if check_conditions(F, "odd", a, cp.b, I))
     assert census == cp.a_census
 
@@ -150,6 +150,19 @@ def test_build_triple_odd_fixed_matrices():
     yz = t.Y * t.Z
     assert yz == Mat3(F, (cp.a, zero, zero, zero, one, zero,
                           zero, zero, cp.a.inv()))
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (7, 1), (3, 2), (2, 2), (2, 3),
+                                 (2, 4)])
+def test_rotation_is_named_and_ordered_by_parity(p, f):
+    """The rotation is Y Z for odd q and Z Y for even q, and its projective
+    order, its expected order, rotation_order and the order of a agree."""
+    F = field(p, f)
+    cp = search_params(F)
+    name, rotation, expected = build_triple(cp).rotation
+    assert name == ("yz" if p % 2 else "zy")
+    assert (projective_order(rotation) == expected
+            == rotation_order(F, cp.parity) == cp.a.order())
 
 
 def test_build_triple_even_transvection():
@@ -218,7 +231,7 @@ def test_counting_bounds_per_condition():
         for b in _scan_valid_b(F, parity):
             for cond, i in cases:
                 excluded = sum(
-                    1 for a in elements_of_order(F, target)
+                    1 for a in map(F.from_index, F.indices_of_order(target))
                     if not separated(charpoly_coeffs(F, parity, a, b),
                                      cond, i))
                 assert excluded <= 2

@@ -78,7 +78,7 @@ def test_multiplicative_absorbing_and_inverse_law():
 def test_generator_power_cycle_gf25():
     """Brute-force: some element has order 24, and g^24 = 1."""
     F = field(5, 1)
-    gens = [x for x in F.nonzero_elements() if x.order() == 24]
+    gens = [x for x in list(F.elements())[1:] if x.order() == 24]
     assert gens
     g = gens[0]
     power = F.one
@@ -95,7 +95,7 @@ def test_order_counts_match_totient(p, f):
     F = field(p, f)
     n = F.size - 1
     counts = {}
-    for x in F.nonzero_elements():
+    for x in list(F.elements())[1:]:
         d = x.order()
         assert n % d == 0
         counts[d] = counts.get(d, 0) + 1
@@ -114,7 +114,7 @@ def test_indices_of_order_match_order_scan(p, f):
     F = field(p, f)
     n = F.size - 1
     scan = {}
-    for x in F.nonzero_elements():
+    for x in list(F.elements())[1:]:
         scan.setdefault(x.order(), []).append(x.index)
     for d in range(1, n + 1):
         if n % d == 0:
@@ -123,8 +123,8 @@ def test_indices_of_order_match_order_scan(p, f):
 
 
 def test_order_counts_examples():
-    assert sum(1 for x in field(5, 1).nonzero_elements() if x.order() == 4) == 2
-    assert sum(1 for x in field(2, 2).nonzero_elements() if x.order() == 5) == 4
+    assert sum(1 for x in list(field(5, 1).elements())[1:] if x.order() == 4) == 2
+    assert sum(1 for x in list(field(2, 2).elements())[1:] if x.order() == 5) == 4
 
 
 def test_frobenius_basics():
@@ -307,7 +307,7 @@ def test_scalar_methods_return_python_ints(p, f):
         results = [F.add_index(i, j), F.add_index(i, F.neg_index(i)),
                    F.mul_index(i, j), F.neg_index(i), F.inv_index(i),
                    F.pow_index(i, e), F.pow_index(wrap(0), wrap(0)),
-                   F.pow_index(wrap(0), wrap(2)), F.exp_index(k),
+                   F.pow_index(wrap(0), wrap(2)), F.pow_index(j, k),
                    F.frob_index(i, wrap(1)), F.order_index(i),
                    *F.indices_of_order(wrap(n // 3))]
         assert all(type(x) is int for x in results), results

@@ -133,7 +133,7 @@ def test_nullspace_vectors_satisfy_system():
                     acc = F.zero
                     for a, x in zip(row, vec):
                         acc = acc + a * x
-                    assert acc.is_zero()
+                    assert not acc
 
 
 def test_nullspace_known_kernel():

@@ -45,6 +45,19 @@ def test_mul_associative_and_det_multiplicative():
             assert (a * b).det() == a.det() * b.det()
 
 
+def test_constructor_takes_nine_flat_field_elements():
+    F = field(5, 1)
+    one = F.one
+    rows = [[one, one, one]] * 3
+    assert Mat3(F, [x for row in rows for x in row]) == Mat3.from_rows(F, rows)
+    with pytest.raises(ValueError, match="not a field element"):
+        Mat3(F, [1] * 9)
+    with pytest.raises(ValueError, match="exactly 9"):
+        Mat3(F, rows)
+    with pytest.raises(ValueError, match="different field"):
+        Mat3(F, [field(2, 2).one] * 9)
+
+
 def test_inverse():
     rng = random.Random(3)
     F = field(3, 2)
@@ -52,7 +65,6 @@ def test_inverse():
     for _ in range(50):
         m = _random_invertible(F, rng)
         assert m * m.inverse() == I
-        assert m ** -1 == m.inverse()
     singular = Mat3.from_rows(F, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
     assert not singular.det()
     with pytest.raises(ZeroDivisionError):
@@ -136,7 +148,7 @@ def test_char_poly_roots_are_eigenvalues():
     F = field(5, 1)
     m = Mat3.from_rows(F, [[2, 0, 0], [0, 3, 0], [0, 0, 1]])
     cp = m.char_poly()
-    roots = [x for x in F.elements() if cp.eval(x).is_zero()]
+    roots = [x for x in F.elements() if not cp.eval(x)]
     assert {r.index for r in roots} == {F.from_int(2).index,
                                         F.from_int(3).index, F.one.index}
 
