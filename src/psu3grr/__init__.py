@@ -7,17 +7,10 @@ parameter existence, involution and rotation orders, irreducibility of the
 matrix triple, generation (exact permutation group order on the q^3 + 1
 isotropic points of the Hermitian form), and triviality of the group of
 automorphisms preserving the connection set.
+
+Importing the package imports nothing else, so `psu3grr.cli` runs its
+own start-up (see there) before numpy is first loaded; the field, matrix
+and stage names live in their modules (`psu3grr.gf`, `psu3grr.mat3`, ...).
 """
 
 __version__ = "0.1.0"
-
-from .gf import Field, FieldElem, field
-from .mat3 import CharPoly, Mat3
-
-__all__ = [
-    "Field",
-    "FieldElem",
-    "field",
-    "Mat3",
-    "CharPoly",
-]

@@ -41,8 +41,16 @@ file if it exists), so a bad one costs no run and leaves no file.
 
 A run loads only the modules it calls: gf, mat3, construct, grouporder
 and linalg with cli, and autcheck (aut stage), cayley (graph stage,
-export-graph) and negcontrol (negative-control-q3) on first use.  The
-process entry, `entry`, runs `main` and then freezes the heap, so the
+export-graph) and negcontrol (negative-control-q3) on first use.  Two
+native libraries load only where a stage uses them: certificates are
+hashed with CPython's built-in SHA-256, so OpenSSL's libcrypto (through
+hashlib) loads only with the graph stage, which hashes megabyte edge
+lists with it; and importing cli sets OPENBLAS_NUM_THREADS to 1 unless
+the user has set it, so numpy's OpenBLAS starts no worker thread.  The
+package's __init__ imports nothing and re-exports no field or matrix
+names, so that setting precedes numpy under both the `psu3grr` script
+and `python -m psu3grr.cli`.  The process
+entry, `entry`, runs `main` and then freezes the heap, so the
 interpreter exits without collecting it (see `entry`); `main(argv)`
 called in-process does not.
 
@@ -61,12 +69,27 @@ from __future__ import annotations
 import argparse
 import datetime
 import gc
-import hashlib
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
+
+# the built-in SHA-256: hashlib would map OpenSSL's libcrypto (about 3.5 MB
+# of RSS) to hash one certificate (see cayley.edge_list_sha256)
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+# numpy's OpenBLAS starts a worker thread per CPU at import, but no stage
+# calls BLAS (the only `@` products are on int64 arrays, which numpy
+# computes without it).  This must run before numpy is first imported: the
+# package's __init__ imports nothing, and the imports below load numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .construct import (UnsupportedQ, build_triple, count_valid_b,
@@ -209,7 +232,7 @@ def certificate_hash(cert: dict) -> str:
     stripped = {k: v for k, v in cert.items()
                 if k not in ("generated_at", "certificate_hash")}
     blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

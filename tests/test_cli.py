@@ -533,11 +533,17 @@ def test_traced_run_still_wraps_every_layer():
         assert callees <= {span[0] for span in doc["spans"]}
 
 
-def _run_process(*args):
-    """A fresh `python args` process with this package first on its path."""
+def _run_process(*args, **env_changes):
+    """A fresh `python args` process with this package first on its path;
+    each keyword sets that environment variable, or unsets it if None."""
     src = str(Path(psu3grr.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, timeout=120)
 
@@ -576,7 +582,8 @@ def test_process_entry_exit_codes(argv, code, err):
 
 
 # runs the process entry on its arguments, then prints the exit code,
-# whether the heap is frozen, and the package modules loaded
+# whether the heap is frozen, the package modules loaded, and whether
+# OpenSSL's hashlib extension is loaded
 _LOADED_MODULES = """
 import contextlib, gc, io, json, sys
 from psu3grr import cli
@@ -584,27 +591,82 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.entry()
 print(json.dumps([code, gc.get_freeze_count() > 0,
                   sorted(m.partition(".")[2] for m in sys.modules
-                         if m.startswith("psu3grr."))]))
+                         if m.startswith("psu3grr.")),
+                  "_hashlib" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("stages,used,unused", [
+@pytest.fixture(scope="module")
+def numpy_loads_hashlib():
+    """Whether a bare `import numpy` loads `_hashlib` in this interpreter:
+    numpy 1.x imports numpy.random eagerly, which reaches it through
+    secrets and hmac."""
+    proc = _run_process("-c", "import sys, numpy; "
+                        "print('_hashlib' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.lower())
+
+
+@pytest.mark.parametrize("stages,used,unused,hashes_graph", [
     (["--stage", "irreducible"], "grouporder",
-     {"autcheck", "cayley", "negcontrol"}),
-    ([], "autcheck", {"cayley", "negcontrol"}),
-    (["--stage", "graph"], "cayley", {"autcheck", "negcontrol"}),
+     {"autcheck", "cayley", "negcontrol"}, False),
+    ([], "autcheck", {"cayley", "negcontrol"}, False),
+    (["--stage", "graph"], "cayley", {"autcheck", "negcontrol"}, True),
 ], ids=["irreducible", "verdict", "graph"])
-def test_a_run_loads_only_the_stage_modules_it_calls(stages, used, unused):
+def test_a_run_loads_only_the_stage_modules_it_calls(stages, used, unused,
+                                                     hashes_graph,
+                                                     numpy_loads_hashlib):
     """cli imports autcheck, cayley and negcontrol on first use, so a fresh
     process compiles only the modules its stages call; the process entry
-    leaves the heap frozen."""
+    leaves the heap frozen.  Only the graph stage may load OpenSSL (through
+    hashlib) beyond what numpy itself loads."""
     proc = _run_process("-c", _LOADED_MODULES, "certify", "--p", "2",
                         "--f", "2", *stages)
     assert proc.returncode == 0, proc.stderr
-    code, frozen, loaded = json.loads(proc.stdout)
+    code, frozen, loaded, openssl = json.loads(proc.stdout)
     assert (code, frozen) == (EXIT_OK, True)
     assert used in loaded
     assert not unused & set(loaded)
+    if not hashes_graph:
+        assert openssl == numpy_loads_hashlib
+
+
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 1 << 20])
+def test_certificate_sha256_is_hashlibs(size):
+    """cli hashes certificates with CPython's built-in SHA-256; it must give
+    hashlib's digest, across the one- and two-block padding boundary
+    (55 and 56 bytes), a whole block and a long message."""
+    data = bytes(i * 7 % 256 for i in range(size))
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")],
+                         ids=["unset", "user-set"])
+def test_cli_import_holds_openblas_to_one_thread(preset, want):
+    """Importing cli sets OPENBLAS_NUM_THREADS to 1, unless the user has
+    set it."""
+    proc = _run_process(
+        "-c", "import os, psu3grr.cli; "
+              "print(os.environ['OPENBLAS_NUM_THREADS'])",
+        OPENBLAS_NUM_THREADS=preset)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == want
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs Linux's /proc/self/task and at least 2 CPUs, where "
+           "OpenBLAS would start a worker thread")
+def test_cli_import_starts_no_thread():
+    """The setting precedes numpy's import, so OpenBLAS starts no worker
+    thread: the package's __init__ must not import numpy first."""
+    proc = _run_process(
+        "-c", "import os, psu3grr.cli; "
+              "print(len(os.listdir('/proc/self/task')))",
+        OPENBLAS_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"1"
 
 
 def _first_difference(text, doc):
