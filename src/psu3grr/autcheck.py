@@ -90,7 +90,6 @@ class AutCertificate(NamedTuple):
     verdict: str            # "trivial" | "nontrivial"
     witness: Mat3 | None = None
     witness_query: OracleEntry | None = None
-    queries: int = 0
 
     @property
     def fast_path_holds(self) -> bool:
@@ -294,5 +293,4 @@ def aut_group_trivial(t: GeneratorTriple,
     return AutCertificate(
         fast_path=fast_path, oracle_path=oracle_path,
         verdict="trivial" if witness is None else "nontrivial",
-        witness=witness, witness_query=witness_query,
-        queries=len(oracle_path))
+        witness=witness, witness_query=witness_query)

@@ -87,7 +87,8 @@ The closure runs one BFS level at a time on numpy arrays:
 
 No per-vertex or per-edge Python object is made while building, hashing or
 exporting a graph: `CayleyGraph` holds the edge array, and exports are
-written in chunks straight from it.
+written in chunks straight from it, the adjacency export as the rows of
+the (n, 3) neighbour table of the cubic graph.
 
 The full graph is only built for groups up to |PSU3(5)| = 126000 vertices
 unless explicitly overridden; nothing downstream needs the explicit graph,
@@ -306,15 +307,14 @@ def build_graph(t: GeneratorTriple, expected_order: int,
 def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:
     """Each value in decimal followed by its separator byte.
 
-    A value of -1 writes its separator alone (an empty adjacency line).
-    Values are vertex ids, below 2^31 for every q <= MAX_KEY_Q, so digits
-    are computed in int32.  Row r of the (width + 1, N) buffer holds digit
-    r of every value, most significant first, and its last row the
-    separators; the bytes come out value by value through its transpose,
-    without leading zeros.
+    Values are vertex ids, at least 0 and below 2^31 for every q <=
+    MAX_KEY_Q, so digits are computed in int32.  Row r of the (width + 1,
+    N) buffer holds digit r of every value, most significant first, and its
+    last row the separators; the bytes come out value by value through its
+    transpose, without leading zeros.
     """
-    width = len(str(max(int(values.max(initial=0)), 0)))
-    rest = np.maximum(values, 0).astype(np.int32)
+    width = len(str(int(values.max(initial=0))))
+    rest = values.astype(np.int32)
     quot = np.empty_like(rest)
     buf = np.empty((width + 1, len(values)), dtype=np.uint8)
     for row in range(width - 1, -1, -1):
@@ -324,10 +324,10 @@ def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:
         rest, quot = quot, rest
     buf[width] = seps
     # digit r is written when value >= 10^(width - 1 - r), the last digit
-    # when value >= 0, and the separator always
+    # and the separator always
     low = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
     low[-1] = 0
-    keep = values.astype(np.int32) >= np.append(low, -1)[:, None]
+    keep = values.astype(np.int32) >= np.append(low, 0)[:, None]
     return buf.T[keep.T].tobytes()
 
 
@@ -343,18 +343,19 @@ def _edge_list_chunks(g: CayleyGraph):
 
 
 def _adjacency_chunks(g: CayleyGraph):
+    """Line i is row i of the (n, 3) neighbour table: every CayleyGraph is
+    cubic, as `build_graph` checks.
+
+    The edge ends are put in vertex order by a stable sort, which keeps
+    edge order within a vertex.  The edges are sorted with u < v, so
+    vertex i meets its edges (u, i), u < i, first, by increasing u, and
+    then its edges (i, v) by increasing v: each row is sorted already.
+    """
     yield f"p adj {g.vertex_count} {len(g.edges)}\n".encode()
-    rows = g.edges.ravel()
-    cols = g.edges[:, ::-1].ravel()
-    isolated = np.flatnonzero(
-        np.bincount(rows, minlength=g.vertex_count) == 0)
-    rows = np.concatenate([rows, isolated])
-    cols = np.concatenate([cols, np.full(len(isolated), -1)])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    line_end = np.ones(len(rows), dtype=bool)
-    line_end[:-1] = rows[1:] != rows[:-1]
-    yield from _token_chunks(cols, np.where(line_end, 10, 32).astype(np.uint8))
+    order = np.argsort(g.edges.ravel(), kind="stable")
+    nbrs = g.edges[:, ::-1].ravel()[order]
+    seps = np.tile(np.array([32, 32, 10], dtype=np.uint8), g.vertex_count)
+    yield from _token_chunks(nbrs, seps)
 
 
 def export_chunks(g: CayleyGraph, fmt: str = "edge-list"):
@@ -370,8 +371,8 @@ def export_graph(g: CayleyGraph, fmt: str = "edge-list") -> bytes:
     """Deterministic byte serialization.
 
     edge-list: header "p edge N M", then one "u v" line per edge, u < v,
-    sorted.  adjacency: header "p adj N M", then line i holds the sorted
-    neighbors of vertex i.
+    sorted.  adjacency: header "p adj N M", then line i holds the three
+    neighbors of vertex i, sorted.
     """
     return b"".join(export_chunks(g, fmt))
 

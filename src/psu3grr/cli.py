@@ -363,7 +363,7 @@ def _stage_aut(state, cfg: RunConfig) -> dict:
     cert = aut_group_trivial(t, state["order_cert"])
     out = {
         "verdict": cert.verdict,
-        "queries": cert.queries,
+        "queries": len(cert.oracle_path),
         "fast_path_holds": cert.fast_path_holds,
         "fast_path": [
             {"condition": e.condition, "twist": e.twist,

@@ -215,14 +215,6 @@ def separation_table(field: Field, parity: str, a: FieldElem, b: FieldElem,
             yield cond, i, separated(coeffs, cond, i)
 
 
-def check_conditions(field: Field, parity: str, a: FieldElem, b: FieldElem,
-                     exponents) -> bool:
-    """Every separation condition of the parity, each twisted condition at
-    every exponent of the set."""
-    return all(holds for _, _, holds in
-               separation_table(field, parity, a, b, exponents))
-
-
 def search_params(field: Field) -> ConstructionParams:
     """First valid (b, a) plus the census of valid a for that b."""
     parity = require_supported(field)
@@ -232,7 +224,8 @@ def search_params(field: Field) -> ConstructionParams:
     first_a = None
     census = 0
     for a in map(field.from_index, field.indices_of_order(target_order)):
-        if check_conditions(field, parity, a, b, exponents):
+        if all(holds for _, _, holds in
+               separation_table(field, parity, a, b, exponents)):
             census += 1
             if first_a is None:
                 first_a = a

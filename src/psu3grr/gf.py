@@ -39,21 +39,6 @@ import numpy as np
 SIZE_LIMIT = 1 << 20
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation by trial division (n is small here)."""
     out: dict[int, int] = {}
@@ -156,9 +141,11 @@ def smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
 
     Coefficient vectors (c0, ..., c_{degree-1}) are compared low degree
     first; the leading coefficient is fixed to 1.  Returns the full
-    coefficient tuple (c0, ..., c_{degree-1}, 1).
+    coefficient tuple (c0, ..., c_{degree-1}, 1).  The scan starts at
+    c0 = 1, in the same order: a candidate with c0 = 0 is divisible by x,
+    a proper factor once degree >= 2 (Field asks for degree 2f).
     """
-    for tail in itertools.product(range(p), repeat=degree):
+    for tail in itertools.product(range(1, p), *[range(p)] * (degree - 1)):
         poly = list(tail) + [1]
         if _is_irreducible(poly, p):
             return tuple(poly)
@@ -176,22 +163,31 @@ class Field:
 
     Do not instantiate directly in normal use; go through field(p, f) so
     that element operations between equal fields share one object.
+
+    Bad parameters are refused in this order, each before any work the
+    next check would do: f < 1; then, for p >= 2, a field above
+    SIZE_LIMIT; then a p that is not prime.  For p >= 2, p^(2f) <=
+    SIZE_LIMIT = 2^20 implies p^2 <= 2^20 and 2f <= 20, so those bounds
+    are compared before the power is formed and a huge p or f is refused
+    at once, without a big-integer power or a trial division up to sqrt(p).
     """
 
     def __init__(self, p: int, f: int):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if f < 1:
             raise ValueError(f"f = {f} must be a positive integer")
+        if p >= 2 and (p * p > SIZE_LIMIT
+                       or 2 * f > SIZE_LIMIT.bit_length() - 1
+                       or p ** (2 * f) > SIZE_LIMIT):
+            raise ValueError(
+                f"GF({p}^{2 * f}) is above the supported bound of "
+                f"{SIZE_LIMIT} elements")
+        if factorize(p) != {p: 1}:
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.f = f
         self.q = p ** f
         self.ext_degree = 2 * f
         self.size = p ** (2 * f)
-        if self.size > SIZE_LIMIT:
-            raise ValueError(
-                f"GF({p}^{2 * f}) has {self.size} elements, above the "
-                f"supported bound {SIZE_LIMIT}")
         self.modulus = smallest_irreducible(p, 2 * f)
         # place value of coefficient i in the element index (c0 weighs most,
         # making index order equal to lexicographic coefficient order)
@@ -404,18 +400,6 @@ class Field:
         return f"Field(GF({self.p}^{self.ext_degree}), q={self.q})"
 
 
-def field_from_params_str(s: str) -> Field:
-    """Inverse of Field.params_str; the modulus is validated, not trusted."""
-    vals = [int(v) for v in s.split(",")]
-    if len(vals) < 3:
-        raise ValueError(f"expected p,f,m0,...; got {s!r}")
-    p, f, modulus = vals[0], vals[1], tuple(vals[2:])
-    fld = field(p, f)
-    if fld.modulus != modulus:
-        raise ValueError("modulus mismatch: not the canonical field modulus")
-    return fld
-
-
 class FieldElem:
     """Immutable element of a Field, identified by its enumeration index."""
 
@@ -467,15 +451,6 @@ class FieldElem:
     def order(self) -> int:
         """Least n >= 1 with x^n = 1; divides q^2 - 1."""
         return self.field.order_index(self.index)
-
-    def norm_trace(self):
-        """(x * x^q, x + x^q): norm and trace down to the GF(q) subfield."""
-        conj = self.frobenius(self.field.f)
-        return self * conj, self + conj
-
-    def in_subfield(self) -> bool:
-        """True iff the element lies in GF(q), the fixed field of x -> x^q."""
-        return self.field.frob_index(self.index, self.field.f) == self.index
 
     def __bool__(self):
         return self.index != 0

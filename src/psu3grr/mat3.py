@@ -70,9 +70,6 @@ class Mat3:
     def flat_indices(self) -> tuple[int, ...]:
         return tuple(x.index for x in self.e)
 
-    def rows(self):
-        return tuple(self.e[3 * i:3 * i + 3] for i in range(3))
-
     def __mul__(self, other: "Mat3") -> "Mat3":
         if self.field is not other.field:
             raise ValueError("matrices over different fields")
@@ -142,7 +139,8 @@ class Mat3:
 
     def to_str(self) -> str:
         """Rows joined by ';', entries within a row by ' '."""
-        return ";".join(" ".join(x.to_str() for x in row) for row in self.rows())
+        return ";".join(" ".join(x.to_str() for x in self.e[i:i + 3])
+                        for i in (0, 3, 6))
 
     @classmethod
     def from_str(cls, field: Field, s: str) -> "Mat3":

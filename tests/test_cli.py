@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -379,7 +380,7 @@ def _nontrivial_aut(t, order_cert):
     return AutCertificate(
         fast_path=[FastPathEntry("xy-xz", 0, True, False)],
         oracle_path=[entry], verdict="nontrivial",
-        witness=t.X, witness_query=entry, queries=1)
+        witness=t.X, witness_query=entry)
 
 
 @pytest.mark.parametrize("name,fake,stage,diagnostics", [
@@ -425,7 +426,7 @@ def test_internal_inconsistency_exit_code(monkeypatch):
         fake = AutCertificate(
             fast_path=[FastPathEntry("xy-xz", None, True, True)],
             oracle_path=[entry], verdict="nontrivial",
-            witness=t.X, witness_query=entry, queries=1)
+            witness=t.X, witness_query=entry)
         return fake
 
     monkeypatch.setattr(cli, "aut_group_trivial", fake_aut)
@@ -579,6 +580,20 @@ def test_process_entry_writes_what_main_writes(tmp_path, capsys):
 def test_process_entry_exit_codes(argv, code, err):
     proc = _run_process("-m", "psu3grr.cli", "certify", *argv)
     assert (proc.returncode, proc.stderr) == (code, err)
+
+
+@pytest.mark.parametrize("p,f", [("10000000000000061", "1"),
+                                 ("3", "30000000")])
+def test_out_of_range_field_is_refused_at_once(p, f):
+    """The field size gate comes before p^(2f) and the primality test, so
+    a huge p or f exits 3 with its error line within a second."""
+    start = time.perf_counter()
+    proc = _run_process("-m", "psu3grr.cli", "certify", "--p", p, "--f", f)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_STAGE_FAILED
+    assert re.fullmatch(rb"error: .* above the supported bound .*\n",
+                        proc.stderr), proc.stderr
+    assert elapsed < 1, elapsed
 
 
 # runs the process entry on its arguments, then prints the exit code,

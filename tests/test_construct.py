@@ -6,10 +6,10 @@ from psu3grr import construct
 from psu3grr.construct import (ConnectionSetError, ConstructionError,
                                ConstructionParams, UnsupportedQ,
                                build_triple, charpoly_coeffs,
-                               check_conditions, check_connection_set,
-                               count_valid_b, exponent_set, find_b,
-                               require_supported, rotation_order,
-                               search_params, separated, valid_b_blocks)
+                               check_connection_set, count_valid_b,
+                               exponent_set, find_b, require_supported,
+                               rotation_order, search_params, separated,
+                               separation_table, valid_b_blocks)
 from psu3grr.gf import field
 from psu3grr.mat3 import Mat3, is_special_unitary, projective_order
 
@@ -114,7 +114,8 @@ def test_search_params_succeeds(p, f):
     assert cp.a_census >= 1
     target = F.q - 1 if cp.parity == "odd" else F.q + 1
     assert cp.a.order() == target
-    assert check_conditions(F, cp.parity, cp.a, cp.b, cp.exponent_set)
+    assert all(holds for _, _, holds in separation_table(
+        F, cp.parity, cp.a, cp.b, cp.exponent_set))
 
 
 def test_search_params_census_matches_exhaustive_scan():
@@ -123,7 +124,8 @@ def test_search_params_census_matches_exhaustive_scan():
     cp = search_params(F)
     I = exponent_set(F.f, "odd")
     census = sum(1 for a in map(F.from_index, F.indices_of_order(F.q - 1))
-                 if check_conditions(F, "odd", a, cp.b, I))
+                 if all(holds for _, _, holds in
+                        separation_table(F, "odd", a, cp.b, I)))
     assert census == cp.a_census
 
 

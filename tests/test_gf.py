@@ -1,12 +1,15 @@
 """Field tower arithmetic: axioms, Frobenius, orders, subfield structure."""
 
 import random
+from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from psu3grr.gf import (Field, FieldElem, _poly_mulmod, _poly_powmod, field,
-                        field_from_params_str, is_prime, smallest_irreducible)
+from psu3grr.gf import (SIZE_LIMIT, Field, FieldElem, _is_irreducible,
+                        _poly_mulmod, _poly_powmod, factorize, field,
+                        smallest_irreducible)
 
 
 def test_field_sizes():
@@ -151,25 +154,18 @@ def test_frobenius_is_ring_homomorphism():
 
 def test_subfield_is_fixed_field_of_qth_power():
     F = field(2, 2)
-    fixed = [x for x in F.elements() if x.in_subfield()]
+    fixed = [x for x in F.elements() if x.frobenius(F.f) == x]
     assert len(fixed) == F.q
 
 
 def test_norm_trace_land_in_subfield():
+    """x^(q+1) and x + x^q are fixed by x -> x^q."""
     for p, f in [(5, 1), (2, 2), (3, 2)]:
         F = field(p, f)
         for x in F.elements():
-            n, t = x.norm_trace()
-            assert n.in_subfield() and t.in_subfield()
-
-
-def test_norm_trace_examples():
-    F = field(5, 1)
-    n, t = F.one.norm_trace()
-    assert n == F.one and t == F.from_int(2)
-    x = F.from_int(3)  # subfield element: norm x^2, trace 2x
-    n, t = x.norm_trace()
-    assert n == x * x and t == x + x
+            conj = x.frobenius(f)
+            for y in (x * conj, x + conj):
+                assert y.frobenius(f) == y
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (7, 1), (2, 2), (2, 3), (3, 2)])
@@ -185,12 +181,6 @@ def test_serialization_round_trip():
     for x in list(F.elements())[::7]:
         assert F.from_str(x.to_str()) == x
     assert F.params_str() == "3,2," + ",".join(str(c) for c in F.modulus)
-    assert field_from_params_str(F.params_str()) is F
-    with pytest.raises(ValueError):
-        field_from_params_str("3,2,1,1,1,1,1")
-    for short in ("3", "3,2"):
-        with pytest.raises(ValueError, match="p,f,m0"):
-            field_from_params_str(short)
 
 
 class PolyReference:
@@ -349,6 +339,20 @@ def test_numpy_kernels_match_scalar_methods(p, f):
     assert F.mul_np(idx, x).tolist() == [F.mul_index(i, x) for i in range(F.size)]
 
 
-def test_is_prime():
-    assert [n for n in range(30) if is_prime(n)] == \
-        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+def test_field_rejects_non_prime_p():
+    for p in (0, 1, 4, 9, 15, 25):
+        with pytest.raises(ValueError, match="not prime"):
+            Field(p, 1)
+
+
+def test_modulus_scan_from_c0_one_matches_full_scan():
+    """The scan skips only candidates with c0 = 0, so on every field within
+    SIZE_LIMIT it finds the modulus the scan over all tails finds."""
+    fields = [(p, f) for p in range(2, isqrt(SIZE_LIMIT) + 1)
+              if factorize(p) == {p: 1}
+              for f in range(1, 11) if p ** (2 * f) <= SIZE_LIMIT]
+    assert len(fields) == 198
+    for p, f in fields:
+        full = next(tail + (1,) for tail in product(range(p), repeat=2 * f)
+                    if _is_irreducible(list(tail) + [1], p))
+        assert smallest_irreducible(p, 2 * f) == full, (p, f)
