@@ -58,11 +58,9 @@ The closure runs one BFS level at a time on numpy arrays:
   where it appears, in increasing order, so the run's head is its first
   appearance.  No two values are equal, so there are no ties whose order
   could matter.  Each child gets its run's id, and its parent is read off
-  its column's position (parent start + position // 3); the edges are
-  sorted at the end anyway.  The value must fit in an int64: at q =
-  MAX_KEY_Q = 11 a key is below 1332^3 < 2^31.2 and j below 3n <
-  2^27.7, so values stay under 2^59; `_bfs` checks the bound for the
-  order it is given before the first level.
+  its column's position (parent start + position // 3).  The value must
+  fit in an int64: at q = MAX_KEY_Q = 11 a key is below 1332^3 < 2^31.2
+  and j below 3n < 2^27.7, so values stay under 2^59.
 * The distinct keys are matched against the keys of the current level,
   held sorted with its vertex ids: one `searchsorted` places every known
   key among the distinct keys, and as both sides are sorted, the search
@@ -84,11 +82,24 @@ The closure runs one BFS level at a time on numpy arrays:
   any of level L + 1, and within level L + 1 it numbers each vertex when
   it first appears as a child in that same sequence.  So edges and every
   export are the same as the sequential BFS's.
+* Every edge kept while level L is processed has its smaller end, the
+  parent, in level L, and the levels hold increasing id ranges.  So each
+  level's kept edges, sorted as u << 32 | v, are written straight into
+  the returned (m, 2) array after those of the levels before, and the
+  blocks concatenate into sorted order with no final sort.
+
+Everything but the keys is int32: vertex ids, column positions, parents,
+generators, run starts and the returned edges.  That is exact as long as
+3n < 2^31, and at q = MAX_KEY_Q, 3n = 3 * 70 915 680 = 212 747 040 <
+2^28.  `_bfs` checks both this bound and the int64 one above for the
+order it is given before the first level.
 
 No per-vertex or per-edge Python object is made while building, hashing or
-exporting a graph: `CayleyGraph` holds the edge array, and exports are
-written in chunks straight from it, the adjacency export as the rows of
-the (n, 3) neighbour table of the cubic graph.
+exporting a graph, and nothing after the BFS copies the whole edge array
+to int64: `CayleyGraph` holds the int32 edge array, the degree check
+counts it in blocks, and exports are written in chunks straight from it,
+the adjacency export as the rows of the (n, 3) neighbour table of the
+cubic graph (see `_adjacency_chunks`).
 
 The full graph is only built for groups up to |PSU3(5)| = 126000 vertices
 unless explicitly overridden; nothing downstream needs the explicit graph,
@@ -97,7 +108,6 @@ it exists for export and independent cross-checks.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import combinations
 from typing import NamedTuple
 
@@ -112,10 +122,11 @@ from .mat3 import Mat3
 DEFAULT_MAX_VERTICES = 126000
 # Largest q whose graph is built at all, even when allowed past the default
 # gate: |PSU3(13)| is about 8.1e8 vertices, whose edge array alone would take
-# some 19 GB.
+# some 10 GB in int32.
 MAX_KEY_Q = 11
-# Numbers per chunk when an export is formatted or hashed.
-EXPORT_CHUNK = 1 << 16
+# Numbers per chunk when an export is formatted or hashed: a chunk holds
+# EXPORT_CHUNK // 2 edge-list rows or EXPORT_CHUNK // 3 adjacency rows.
+EXPORT_CHUNK = 1 << 14
 
 
 class GraphSizeError(RuntimeError):
@@ -152,7 +163,7 @@ def frame_points(action: IsotropicAction) -> tuple[int, ...]:
 
 class CayleyGraph(NamedTuple):
     vertex_count: int
-    edges: np.ndarray   # (m, 2): u < v in each row, rows sorted
+    edges: np.ndarray   # int32 (m, 2): u < v in each row, rows sorted
 
 
 def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
@@ -170,39 +181,42 @@ def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
 
 
 def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
-    """Sorted (m, 2) edges of the level-synchronous closure; see the module
-    doc."""
+    """Sorted int32 (m, 2) edges of the level-synchronous closure; see the
+    module doc."""
     perms = [action.permutation(s.transpose()) for s in t.matrices]
     base = action.degree
-    # a level's values key << shift | j must fit in an int64
-    if ((base ** 3 - 1).bit_length()
-            + (len(perms) * expected_order - 1).bit_length() > 63):
+    k = len(perms)
+    # column positions and vertex ids must fit in an int32, and a level's
+    # values key << shift | j in an int64
+    position_bits = (k * expected_order - 1).bit_length()
+    if position_bits > 31 or (base ** 3 - 1).bit_length() + position_bits > 63:
         raise GraphSizeError(
-            f"q = {action.field.q}: packed BFS keys of {expected_order} "
-            "vertices overflow an int64")
+            f"q = {action.field.q}: BFS positions of {expected_order} "
+            "vertices overflow an int32, or packed keys an int64")
     # children s * v are gathered from one table of the permutations: the
     # image of point x under generator s is table[s * base + x]
     table = np.concatenate(perms)
-    frontier = np.array(frame_points(action), dtype=perms[0].dtype)[:, None]
+    frontier = np.array(frame_points(action), dtype=table.dtype)[:, None]
     # the current level's keys, sorted, with the vertex ids alongside
-    level_keys, level_ids = _pack(frontier, base), np.zeros(1, dtype=np.int64)
+    level_keys, level_ids = _pack(frontier, base), np.zeros(1, dtype=np.int32)
     # per frontier vertex, bit s set when s * v lies in the previous level
     back = np.zeros(1, dtype=np.uint8)
-    bit = (1 << np.arange(len(perms))).astype(np.uint8)
-    # edges packed as u << 32 | v: every vertex is a parent once and keeps
-    # the edges to its larger neighbours, 3n/2 in all on a cubic graph
-    packed = np.empty(len(perms) * expected_order // 2, dtype=np.int64)
+    bit = (1 << np.arange(k)).astype(np.uint8)
+    # every vertex is a parent once and keeps the edges to its larger
+    # neighbours, 3n/2 in all on a cubic graph; each level's block is
+    # written in order
+    edges = np.empty((k * expected_order // 2, 2), dtype=np.int32)
     m = 0
     start = 0  # index of the first vertex of the current level
     n = 1
     while frontier.shape[1]:
-        # the positions vertex * len(perms) + generator of the forward
-        # columns, in increasing order
-        cols = np.flatnonzero(back[:, None] & bit == 0)
+        # the positions vertex * k + generator of the forward columns, in
+        # increasing order
+        cols = np.flatnonzero(back[:, None] & bit == 0).astype(np.int32)
         del back
         if not len(cols):  # every neighbour lies in the previous level
             break
-        vert, offset = np.divmod(cols, len(perms))
+        vert, offset = np.divmod(cols, k)
         offset *= base
         children = np.empty((len(frontier), len(cols)), dtype=frontier.dtype)
         for row, points in zip(children, frontier):
@@ -214,21 +228,22 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         shift = (len(cols) - 1).bit_length()
         keys = _pack(children, base)
         keys <<= shift
-        keys |= np.arange(len(cols))
+        keys |= np.arange(len(cols), dtype=np.int32)
         keys.sort()
-        sort = keys & ((1 << shift) - 1)
+        sort = np.empty(len(keys), dtype=np.int32)
+        np.bitwise_and(keys, (1 << shift) - 1, out=sort, casting="unsafe")
         keys >>= shift
         head = np.empty(len(keys), dtype=bool)
         head[0] = True
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
+        starts = np.flatnonzero(head).astype(np.int32)
         del head
-        unique = keys[starts]
+        unique = keys.take(starts)
         del keys
-        first = sort[starts]
+        first = sort.take(starts)
         # a forward child lies in the current level or the next: look each
         # vertex up in the current level
-        ids = np.full(len(unique), -1, dtype=np.int64)
+        ids = np.full(len(unique), -1, dtype=np.int32)
         pos = np.searchsorted(unique, level_keys)
         np.minimum(pos, len(unique) - 1, out=pos)
         hit = unique[pos] == level_keys
@@ -238,26 +253,27 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         # | run by value, as the first appearances are distinct
         new = np.flatnonzero(ids < 0)
         bits = (len(unique) - 1).bit_length()
-        order = first[new]
-        order <<= bits
+        order = np.left_shift(first.take(new), bits, dtype=np.int64)
+        del first
         order |= new
         order.sort()
         runs = order & ((1 << bits) - 1)
-        ids[runs] = np.arange(n, n + len(new))
-        level_keys, level_ids = unique[new], ids[new]
+        ids[runs] = np.arange(n, n + len(new), dtype=np.int32)
+        level_keys, level_ids = unique.take(new), ids.take(new)
+        del unique, new
         # the column each new vertex first appeared in
         order >>= bits
         frontier = children[:, order]
-        del children, unique, first, new, order
+        del children, order
         # the edges in key order: every child in a run gets the run's id,
-        # and the child at position c has the parent start + c // len(perms)
-        idx = np.repeat(ids, np.diff(starts, append=len(sort)))
-        parents, gen = np.divmod(cols.take(sort, out=sort), len(perms))
+        # and the child at position c has the parent start + c // k
+        idx = np.repeat(ids, np.diff(starts, append=np.int32(len(sort))))
+        parents, gen = np.divmod(cols.take(sort, out=sort), k)
         parents += start
         del sort, ids, cols
         # child s * u = v makes s * v = u a back column of v, as s is an
         # involution: OR each new vertex's generator bits over its run
-        back = np.bitwise_or.reduceat(bit.take(gen), starts)[runs]
+        back = np.bitwise_or.reduceat(bit.take(gen), starts).take(runs)
         del gen, starts, runs
         if np.any(idx == parents):
             raise ConnectionSetError("loop edge: a generator fixes a coset")
@@ -268,13 +284,20 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         # that coincide in PSU3(q).
         up = parents < idx
         end = m + np.count_nonzero(up)
-        if end > len(packed):
+        if end > len(edges):
             raise RuntimeError(
-                f"group closure has more than {len(packed)} edges, the "
+                f"group closure has more than {len(edges)} edges, the "
                 f"number of a cubic graph on {expected_order} vertices")
-        np.left_shift(parents[up], 32, out=packed[m:end])
-        packed[m:end] |= idx[up]
+        # the level's edges, sorted as u << 32 | v: all their smaller ends
+        # lie in this level, above the smaller end of every row before
+        block = np.left_shift(parents[up], 32, dtype=np.int64)
+        block |= idx[up]
         del parents, idx, up
+        block.sort()
+        np.right_shift(block, 32, out=edges[m:end, 0], casting="unsafe")
+        np.bitwise_and(block, 0xFFFFFFFF, out=edges[m:end, 1],
+                       casting="unsafe")
+        del block
         m = end
         start, n = n, n + frontier.shape[1]
         if n > expected_order:
@@ -283,12 +306,34 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
         raise RuntimeError(
             f"group closure found {n} elements, certificate says "
             f"{expected_order}")
-    packed = packed[:m]
-    packed.sort()
-    edges = np.empty((m, 2), dtype=np.int64)
-    np.right_shift(packed, 32, out=edges[:, 0])
-    np.bitwise_and(packed, 0xFFFFFFFF, out=edges[:, 1])
-    return edges
+    return edges[:m]
+
+
+def _check_cubic(n: int, edges: np.ndarray):
+    """Raise unless the edges have 3n/2 rows and every vertex id in
+    [0, n) occurs three times.
+
+    Degrees are counted over sixteen blocks of rows, each by a bincount of
+    its id window, so the int64 copy of the ends that bincount reads is a
+    sixteenth of them, never the whole array.  They are kept mod 256:
+    counts that are 3 mod 256 are at least 3 each, and as the n counts sum
+    to 2m = 3n, each is 3.
+    """
+    if len(edges) * 2 != 3 * n:
+        raise RuntimeError(f"edge count {len(edges)} != 3n/2")
+    degree = np.zeros(n, dtype=np.uint8)
+    rows = max(-(-len(edges) // 16), 1)
+    for lo in range(0, len(edges), rows):
+        ends = edges[lo:lo + rows].ravel()
+        low, high = int(ends.min()), int(ends.max()) + 1
+        if low < 0 or high > n:
+            raise RuntimeError(f"vertex id outside [0, {n})")
+        window = degree[low:high]
+        np.add(window, np.bincount(np.subtract(ends, low, dtype=np.intp),
+                                   minlength=high - low),
+               out=window, casting="unsafe")
+    if np.any(degree != 3):
+        raise RuntimeError("graph is not 3-regular")
 
 
 def build_graph(t: GeneratorTriple, expected_order: int,
@@ -296,66 +341,82 @@ def build_graph(t: GeneratorTriple, expected_order: int,
     check_graph_gate(t.field, expected_order, allow_large)
     check_connection_set(t.matrices)
     edges = _bfs(t, IsotropicAction(t.field), expected_order)
-    n = expected_order
-    if len(edges) * 2 != 3 * n:
-        raise RuntimeError(f"edge count {len(edges)} != 3n/2")
-    if np.any(np.bincount(edges.ravel(), minlength=n) != 3):
-        raise RuntimeError("graph is not 3-regular")
-    return CayleyGraph(n, edges)
+    _check_cubic(expected_order, edges)
+    return CayleyGraph(expected_order, edges)
 
 
 def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:
     """Each value in decimal followed by its separator byte.
 
     Values are vertex ids, at least 0 and below 2^31 for every q <=
-    MAX_KEY_Q, so digits are computed in int32.  Row r of the (width + 1,
-    N) buffer holds digit r of every value, most significant first, and its
-    last row the separators; the bytes come out value by value through its
-    transpose, without leading zeros.
+    MAX_KEY_Q, so digits are computed in int32.  Row i of the (N, width +
+    1) buffer holds the digits of value i, most significant first, and its
+    separator; the bytes come out row by row, without leading zeros.
     """
     width = len(str(int(values.max(initial=0))))
     rest = values.astype(np.int32)
     quot = np.empty_like(rest)
-    buf = np.empty((width + 1, len(values)), dtype=np.uint8)
-    for row in range(width - 1, -1, -1):
+    buf = np.empty((len(values), width + 1), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):
         np.floor_divide(rest, 10, out=quot)
         rest -= 10 * quot
-        np.add(rest, 48, out=buf[row], casting="unsafe")
+        np.add(rest, 48, out=buf[:, col], casting="unsafe")
         rest, quot = quot, rest
-    buf[width] = seps
-    # digit r is written when value >= 10^(width - 1 - r), the last digit
+    buf[:, width] = seps
+    # digit c is written when value >= 10^(width - 1 - c), the last digit
     # and the separator always
-    low = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
-    low[-1] = 0
-    keep = values.astype(np.int32) >= np.append(low, 0)[:, None]
-    return buf.T[keep.T].tobytes()
-
-
-def _token_chunks(values: np.ndarray, seps: np.ndarray):
-    for lo in range(0, len(values), EXPORT_CHUNK):
-        yield _decimal(values[lo:lo + EXPORT_CHUNK], seps[lo:lo + EXPORT_CHUNK])
+    low = np.zeros(width + 1, dtype=np.int32)
+    low[:width - 1] = 10 ** np.arange(width - 1, 0, -1, dtype=np.int32)
+    return buf[values[:, None] >= low].tobytes()
 
 
 def _edge_list_chunks(g: CayleyGraph):
     yield f"p edge {g.vertex_count} {len(g.edges)}\n".encode()
-    seps = np.tile(np.array([32, 10], dtype=np.uint8), len(g.edges))
-    yield from _token_chunks(g.edges.ravel(), seps)
+    rows = EXPORT_CHUNK // 2
+    seps = np.tile(np.array([32, 10], dtype=np.uint8), rows)
+    for lo in range(0, len(g.edges), rows):
+        values = g.edges[lo:lo + rows].ravel()
+        yield _decimal(values, seps[:len(values)])
 
 
 def _adjacency_chunks(g: CayleyGraph):
-    """Line i is row i of the (n, 3) neighbour table: every CayleyGraph is
+    """Line v is row v of the (n, 3) neighbour table: every CayleyGraph is
     cubic, as `build_graph` checks.
 
-    The edge ends are put in vertex order by a stable sort, which keeps
-    edge order within a vertex.  The edges are sorted with u < v, so
-    vertex i meets its edges (u, i), u < i, first, by increasing u, and
-    then its edges (i, v) by increasing v: each row is sorted already.
+    The rows u < v are sorted, so the ends of vertex v are its edges
+    (w, v), w < v, and then its edges (v, w), w > v, each by increasing w:
+    its row is sorted as written.  One int64 sort of the reversed rows
+    v << 32 | w puts the lower ends in vertex order.  Let L(v) count the
+    lower ends of the vertices below v; as those vertices own 3v ends,
+    U(v) = 3v - L(v) edge rows have their smaller end below v.  Vertex v
+    takes slots 3v to 3v + 2, lower ends first, so lower end i (in sorted
+    order, of vertex v) goes to slot i + U(v), and edge row j (of smaller
+    end v) to slot j + L(v + 1).  Neither needs a sort by vertex.
     """
-    yield f"p adj {g.vertex_count} {len(g.edges)}\n".encode()
-    order = np.argsort(g.edges.ravel(), kind="stable")
-    nbrs = g.edges[:, ::-1].ravel()[order]
-    seps = np.tile(np.array([32, 32, 10], dtype=np.uint8), g.vertex_count)
-    yield from _token_chunks(nbrs, seps)
+    n, edges = g.vertex_count, g.edges
+    yield f"p adj {n} {len(edges)}\n".encode()
+    lower = edges[:, 1].astype(np.int64)
+    lower <<= 32
+    lower |= edges[:, 0]
+    lower.sort()
+    step = EXPORT_CHUNK // 3
+    seps = np.tile(np.array([32, 32, 10], dtype=np.uint8), step)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        span = np.arange(a, b + 1, dtype=np.int64)
+        below = np.searchsorted(lower, span << 32)
+        rows = 3 * span - below
+        nbrs = np.empty(3 * (b - a), dtype=np.int32)
+        # slots relative to the chunk's first slot 3a = L(a) + U(a)
+        ends = lower[below[0]:below[-1]]
+        at = rows.take((ends >> 32) - a)
+        at += np.arange(-rows[0], len(ends) - rows[0])
+        nbrs[at] = ends
+        ends = edges[rows[0]:rows[-1]]
+        at = below.take(ends[:, 0] - (a - 1))
+        at += np.arange(-below[0], len(ends) - below[0])
+        nbrs[at] = ends[:, 1]
+        yield _decimal(nbrs, seps[:len(nbrs)])
 
 
 def export_chunks(g: CayleyGraph, fmt: str = "edge-list"):
@@ -395,8 +456,10 @@ def import_edge_list(data: bytes) -> tuple[int, np.ndarray]:
 def edge_list_sha256(g: CayleyGraph) -> str:
     # hashlib's OpenSSL SHA-256, not the built-in one cli hashes
     # certificates with: it hashes the q = 5 edge list (2 312 691 bytes) in
-    # about 1.7 ms against 9.4 ms on a 2-vCPU Xeon VM, and loading
-    # libcrypto costs only the runs that build a graph
+    # about 1.7 ms against 9.4 ms on a 2-vCPU Xeon VM.  Imported here, so
+    # libcrypto loads only in runs that hash a graph, and after its BFS
+    import hashlib
+
     digest = hashlib.sha256()
     for chunk in export_chunks(g, "edge-list"):
         digest.update(chunk)

@@ -26,7 +26,7 @@ def _graph(p, f, **kw):
 
 
 def _toy(n, edges):
-    return CayleyGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return CayleyGraph(n, np.array(edges, dtype=np.int32).reshape(-1, 2))
 
 
 def test_toy_export_format():
@@ -57,7 +57,8 @@ def test_graph_q4_structure():
         degree[u] += 1
         degree[v] += 1
     assert set(degree) == {3}
-    packed = g.edges[:, 0] * g.vertex_count + g.edges[:, 1]
+    # int64, as u * n + v overflows the int32 columns
+    packed = g.edges[:, 0].astype(np.int64) * g.vertex_count + g.edges[:, 1]
     assert np.all(packed[1:] > packed[:-1])  # sorted, no repeats
 
 
@@ -103,9 +104,11 @@ def test_import_rejects_vertex_ids_out_of_range(data):
 
 
 def test_graph_build_memory_is_bounded():
-    """The q = 5 BFS packs its edges into one buffer, sorts it in place and
-    unpacks it into the returned 2.9 MB (m, 2) array, so its peak is one
-    level's lookup arrays plus the 1.4 MB buffer."""
+    """The q = 5 BFS writes each level's edges, sorted, straight into the
+    returned 1.5 MB int32 (m, 2) array, and the degree check counts over
+    blocks of rows, so the peak is that array plus one level's lookup
+    arrays (3.5 MiB traced; 4.5 MiB with the int64 buffer sorted and
+    unpacked at the end)."""
     F = field(5, 1)
     t = build_triple(search_params(F))
     order = expected_group_order(F.q)
@@ -116,8 +119,47 @@ def test_graph_build_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.edges.nbytes == 3 * order * 8
-    assert peak < 9 * 2 ** 20, peak
+    assert g.edges.nbytes == 3 * order * 4
+    assert peak < 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
+def test_bfs_writes_sorted_int32_rows(p, f):
+    """Each level's block of edges is sorted and its smaller ends exceed
+    the smaller end of every row before it, so the rows come out sorted
+    without a final sort; np.lexsort stands in for that sort."""
+    F = field(p, f)
+    t = build_triple(search_params(F))
+    edges = cayley._bfs(t, IsotropicAction(F), expected_group_order(F.q))
+    assert edges.dtype == np.int32 and edges.flags.c_contiguous
+    u, v = edges[:, 0], edges[:, 1]
+    assert np.all(u < v)
+    assert np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1])))
+    assert np.array_equal(edges, edges[np.lexsort((v, u))])
+
+
+@pytest.mark.parametrize("n,edges,message", [
+    # K4 is cubic; with one edge missing the count is off
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], "edge count"),
+    # 3n/2 edges, but vertex 0 has degree 5 and vertices 4 and 5 degree 2
+    (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3),
+         (4, 5)], "not 3-regular"),
+    # K4 with the edge {0, 1} replaced by a second {2, 3}
+    (4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 3)], "not 3-regular"),
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4)], "outside"),
+])
+def test_cubic_check_rejects_bad_graphs(n, edges, message):
+    with pytest.raises(RuntimeError, match=message):
+        cayley._check_cubic(n, np.array(edges, dtype=np.int32))
+
+
+def test_cubic_check_counts_across_blocks():
+    g = _mobius_ladder(1000)  # 1500 rows, in blocks of 94
+    cayley._check_cubic(g.vertex_count, g.edges)
+    bad = g.edges.copy()
+    bad[700, 1] = bad[300, 1]
+    with pytest.raises(RuntimeError, match="not 3-regular"):
+        cayley._check_cubic(g.vertex_count, bad)
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
@@ -377,6 +419,26 @@ def test_export_digits_cross_every_boundary(fmt, top, chunk, monkeypatch):
     edges, n = _boundary_edges(top)
     monkeypatch.setattr(cayley, "EXPORT_CHUNK", chunk)
     assert export_graph(_toy(n, edges), fmt) == _scalar_export(n, edges, fmt)
+
+
+def _mobius_ladder(n):
+    """The cubic graph on n (even) vertices joining i to i + 1 and to
+    i + n/2, mod n."""
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    edges |= {(i, i + n // 2) for i in range(n // 2)}
+    return _toy(n, sorted(edges))
+
+
+@pytest.mark.parametrize("chunk", [cayley.EXPORT_CHUNK, 1000, 97])
+def test_cubic_exports_cross_chunk_boundaries(chunk, monkeypatch):
+    """Ids of 1 to 6 digits, in both formats; vertex 0 has only larger
+    neighbours and vertex n - 1 only smaller ones."""
+    g = _mobius_ladder(100002)
+    edges = [tuple(e) for e in g.edges.tolist()]
+    monkeypatch.setattr(cayley, "EXPORT_CHUNK", chunk)
+    for fmt in ("edge-list", "adjacency"):
+        assert export_graph(g, fmt) == _scalar_export(g.vertex_count, edges,
+                                                      fmt), fmt
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
