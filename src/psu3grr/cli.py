@@ -429,7 +429,14 @@ def _run(cfg: RunConfig) -> tuple[dict, int, dict]:
         cert["q"] = fld.q
         cert["field"] = fld.params_str()
         state["field"] = fld
-        for stage in _close_stages(cfg.stages):
+        stages = _close_stages(cfg.stages)
+        if "graph" in stages:  # refused before any stage builds a chain
+            from .cayley import check_graph_gate
+            cert["failed_stage"] = "graph"
+            check_graph_gate(fld, expected_group_order(fld.q),
+                             cfg.allow_large_graph)
+            del cert["failed_stage"]
+        for stage in stages:
             try:
                 frag = globals()[f"_stage_{stage}"](state, cfg)
             except RuntimeError as exc:  # every FAILED or exit-4 cause
@@ -546,10 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _export_graph(args) -> int:
-    from .cayley import check_graph_gate, export_chunks
-    fld = field(args.p, args.f)
-    # refuse an oversized graph before the stages build a chain
-    check_graph_gate(fld, expected_group_order(fld.q), args.allow_large_graph)
+    from .cayley import export_chunks
     cert, code, state = _run(RunConfig(
         args.p, args.f, stages=("graph",),
         allow_large_graph=args.allow_large_graph))

@@ -14,8 +14,8 @@ Theory, 2005, Sect. 4.4).  Schreier generators, transversals and residues
 are 3x3 matrices, nine field indices each, so a product costs 27 field
 multiplications whatever the degree, and a base image is one
 vector-times-matrix product and a few table gathers.  Only the strong
-generators are also held as permutations of the points, to grow the
-basic orbits.
+generators are also held as permutations of the points, one array each,
+shared by every level the generator is on, to grow the basic orbits.
 The chain replays the Schreier-Sims chain of the permutation image step
 for step, so its base, orbit lengths and order are those of the image
 (see StabilizerChain for why).
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -252,14 +252,14 @@ class _Level:
     __slots__ = ("beta", "gens", "mats", "orbit", "pos", "T", "pending")
 
     def __init__(self, beta: int, action: IsotropicAction):
-        # T and pos hold field indices and orbit positions, all below
-        # 2^31; the numpy kernels take any integer index array
+        # T, orbit and pos hold field indices, points and orbit positions,
+        # all below 2^31; the numpy kernels take any integer index array
         ident = np.array(Mat3.identity(action.field).flat_indices,
                          dtype=np.int32)[None]
         self.beta = beta
-        self.gens = np.empty((0, action.degree), dtype=action.identity.dtype)
+        self.gens = []      # the strong generators' permutations, shared
         self.mats = np.empty((0, 9), dtype=np.int64)
-        self.orbit = np.array([beta], dtype=np.int64)
+        self.orbit = np.array([beta], dtype=np.int32)
         self.pos = np.full(action.degree, -1, dtype=np.int32)
         self.pos[beta] = 0
         self.T = ident      # T[i] maps beta to orbit[i] (Schreier tree path)
@@ -267,7 +267,7 @@ class _Level:
 
     def add_gen(self, perm, mat, field: Field):
         gi = len(self.gens)
-        self.gens = np.concatenate((self.gens, perm[None]))
+        self.gens.append(perm)
         self.mats = np.concatenate((self.mats, mat[None]))
         self.pending.append(0, len(self.orbit), gi, gi + 1)
         self._grow(field)
@@ -300,16 +300,17 @@ class _Level:
             new = images[fresh]
             parent, gen = np.divmod(fresh, width)
             rows = matmul_np(field, layers[-1][parent],
-                             self.mats[ng - width:][gen])
+                             self.mats[ng - width:][gen]).astype(np.int32)
             self.pos[new] = np.arange(n, n + len(new), dtype=np.int32)
             self.pending.append(n, n + len(new), 0, ng)
             n += len(new)
             points.append(new)
             layers.append(rows)
-            images, width = self.gens[:, new].T.ravel(), ng
+            images = np.stack([g.take(new) for g in self.gens], axis=1)
+            images, width = images.ravel(), ng
         if len(layers) > 1:
-            self.orbit = np.concatenate(points)
-            self.T = np.concatenate(layers, dtype=np.int32)
+            self.orbit = np.concatenate(points, dtype=np.int32)
+            self.T = np.concatenate(layers)
 
 
 class StabilizerChain:
@@ -325,34 +326,36 @@ class StabilizerChain:
     Matrices and their permutations.  Every element is a 3x3 matrix,
     (9,) field indices.  A strong generator is also stored as its
     permutation of the points (IsotropicAction.permutation), which grows
-    the basic orbits; each level keeps, per orbit position i, the
-    Schreier-tree transversal T[i] (beta^T[i] = orbit[i]), and a sift
-    computes adj(T[i]) for the rows of its batch only.  The map from
-    matrices to point permutations is a homomorphism, so every base
-    image the chain computes is the one the Schreier-Sims chain of the
-    permutation image computes, and so are the orbits, the Schreier
-    trees and the pending Schreier pairs.  Its kernel is the scalar
-    matrices.  The isotropic points contain a
-    projective frame: [0, 0, 1], [1, 0, 0], [1, x, y] and [1, x', y']
-    with x, x' nonzero and distinct and x y' != x' y (each x has q
-    solutions y, at most one of them excluded), and a matrix that fixes
-    the four points of a frame is scalar.  So a residue is the identity
-    permutation exactly when it is a scalar matrix, whether or not the
-    inputs lie in SU3(q), and scalar factors never matter; that is why
-    adj(T) = det(T) T^-1 can stand for the inverse of T.
+    the basic orbits; every level the generator is on holds that one
+    array.  Each level keeps, per orbit position i, the Schreier-tree
+    transversal T[i] (beta^T[i] = orbit[i]), and a sift computes adj(T[i])
+    for the rows of its batch only.  The map from matrices to point
+    permutations is a homomorphism, so every base image the chain
+    computes is the one the Schreier-Sims chain of the permutation image
+    computes, and so are the orbits, the Schreier trees and the pending
+    Schreier pairs.  Its kernel is the scalar matrices.  The isotropic
+    points contain a projective frame: [0, 0, 1], [1, 0, 0], [1, x, y]
+    and [1, x', y'] with x, x' nonzero and distinct and x y' != x' y (each
+    x has q solutions y, at most one of them excluded), and a matrix that
+    fixes the four points of a frame is scalar.  So a residue is the
+    identity permutation exactly when it is a scalar matrix, whether or
+    not the inputs lie in SU3(q), and scalar factors never matter; that is
+    why adj(T) = det(T) T^-1 can stand for the inverse of T.
 
     Batched sifts.  Each level keeps its pending pairs as runs of (orbit
     position, generator index), in the order a sequential drain would
     visit them (_PendingPairs).  _drain reads the first SIFT_BATCH pending
-    pairs of the shallowest level that has any as two index arrays and
-    sifts all their Schreier generators against the same chain, level by
-    level, as numpy arrays.  The first pair, in pending order, whose
-    residue is not scalar is installed exactly as a sequential drain would
-    install it; it and the pairs before it are removed, and the pairs
-    after it stay at the front, in order.  Every pair before it sifted to
-    a scalar, which a sequential drain consumes without changing anything,
-    so pending order, parents, base, orbit lengths and the stop below are
-    those of the sequential drain, whatever the batch size.
+    pairs (a, g) of the shallowest level l that has any as two index
+    arrays and sifts the products T[a] g from level l on, level by level,
+    as numpy arrays: level l's own step finds c = orbit[a]^g, which is in
+    the orbit, and leaves the Schreier generator T[a] g adj(T[c]).  The
+    first pair, in pending order, whose residue is not scalar is installed
+    exactly as a sequential drain would install it; it and the pairs
+    before it are removed, and the pairs after it stay at the front, in
+    order.  Every pair before it sifted to a scalar, which a sequential
+    drain consumes without changing anything, so pending order, parents,
+    base, orbit lengths and the stop below are those of the sequential
+    drain, whatever the batch size.
 
     Drain order.  _drain takes the shallowest level that has pending
     pairs.  Level 0's Schreier generators are what make the deeper levels
@@ -465,23 +468,16 @@ class StabilizerChain:
                 return
             level = self.levels[lvl]
             a, gi = level.pending.head(SIFT_BATCH)
-            # the Schreier generator T[a] g T[c]^-1 with c = orbit[a]^g,
-            # which is in the orbit: level lvl never fails
-            c = level.pos[level.gens[gi, level.orbit[a]]]
-            rows = matmul_np(self.field, matmul_np(
-                self.field, level.T[a], level.mats[gi]),
-                adjugate_np(self.field, level.T[c]))
-            failure = self._sift(rows, lvl + 1)
+            # level lvl never fails: c = orbit[a]^g is in the orbit
+            rows = matmul_np(self.field, level.T[a], level.mats[gi])
+            failure = self._sift(rows, lvl)
             # the pairs after a failure stay pending, in order
             level.pending.drop(len(a) if failure is None else failure[0] + 1)
             if failure is not None and self._extend(*failure[1:]):
                 return
 
     def order(self) -> int:
-        out = 1
-        for level in self.levels:
-            out *= len(level.orbit)
-        return out
+        return prod(self.orbit_lengths)
 
     @property
     def base(self) -> tuple[int, ...]:

@@ -135,7 +135,7 @@ def test_graph_vertex_gate_names_the_stage():
     cert, code = run_certify(RunConfig(7, 1, stages=("graph",)))
     assert code == EXIT_STAGE_FAILED
     assert cert["verdict"] == "FAILED"
-    assert cert["stages_run"] == ["search", "construct", "order"]
+    assert cert["stages_run"] == []
     assert "exceeds the default gate" in cert["detail"]
     assert cert["failed_stage"] == "graph"
 
@@ -349,6 +349,23 @@ def test_export_graph_refuses_before_the_chain(p, f, message, monkeypatch,
     assert code == EXIT_STAGE_FAILED
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("p,f,message", [
+    (3, 3, "282056445216 vertices exceeds the default gate"),
+    (7, 2, "33219371640000 vertices exceeds the default gate"),
+])
+def test_certify_graph_refuses_before_the_chain(p, f, message, monkeypatch,
+                                                capsys):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("generation chain built before the graph gate")
+    monkeypatch.setattr(cli, "group_order", no_chain)
+    code = main(["certify", "--p", str(p), "--f", str(f), "--stage", "graph"])
+    assert code == EXIT_STAGE_FAILED
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["verdict"], cert["failed_stage"]) == ("FAILED", "graph")
+    assert cert["stages_run"] == [] and cert["stages"] == {}
+    assert message in cert["detail"]
 
 
 def test_main_out_file(tmp_path):

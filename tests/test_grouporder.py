@@ -668,6 +668,39 @@ def test_generation_chain_memory_is_bounded():
     assert peak < 24 * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 3), (13, 1), (2, 4)])
+def test_strong_generators_are_held_once(p, f):
+    """Every level's permutations are level 0's arrays, not copies, and
+    the orbit, position and transversal arrays are int32."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    chain = _matrix_chain(act, t.matrices, expected_group_order(F.q))
+    top = chain.levels[0].gens
+    for level in chain.levels:
+        assert all(any(g is h for h in top) for g in level.gens)
+        assert level.orbit.dtype == level.pos.dtype == level.T.dtype \
+            == np.int32
+
+
+def test_generation_chain_peak_at_q37():
+    """The traced peak of the q = 37 generation chain (degree 50 654):
+    about 15.1 MiB with one array per strong generator's permutation and
+    int32 orbits and transversal layers, 17.8 MiB with a copy of every
+    permutation per level and int64 ones."""
+    F = field(37, 1)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    tracemalloc.start()
+    try:
+        cert = group_order(t, act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.order == expected_group_order(F.q)
+    assert peak < 16.5 * 2 ** 20, peak
+
+
 @pytest.mark.parametrize("p,f", [(5, 1), (2, 3), (3, 2)])
 def test_batched_images_are_permutation_rows(p, f):
     F = field(p, f)
