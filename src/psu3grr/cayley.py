@@ -115,7 +115,7 @@ import numpy as np
 
 from .construct import (ConnectionSetError, GeneratorTriple,
                         check_connection_set)
-from .gf import Field
+from .gf import BLOCK, Field
 from .grouporder import IsotropicAction
 from .mat3 import Mat3
 
@@ -124,9 +124,6 @@ DEFAULT_MAX_VERTICES = 126000
 # gate: |PSU3(13)| is about 8.1e8 vertices, whose edge array alone would take
 # some 10 GB in int32.
 MAX_KEY_Q = 11
-# Numbers per chunk when an export is formatted or hashed: a chunk holds
-# EXPORT_CHUNK // 2 edge-list rows or EXPORT_CHUNK // 3 adjacency rows.
-EXPORT_CHUNK = 1 << 14
 
 
 class GraphSizeError(RuntimeError):
@@ -372,7 +369,7 @@ def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:
 
 def _edge_list_chunks(g: CayleyGraph):
     yield f"p edge {g.vertex_count} {len(g.edges)}\n".encode()
-    rows = EXPORT_CHUNK // 2
+    rows = BLOCK // 2
     seps = np.tile(np.array([32, 10], dtype=np.uint8), rows)
     for lo in range(0, len(g.edges), rows):
         values = g.edges[lo:lo + rows].ravel()
@@ -399,7 +396,7 @@ def _adjacency_chunks(g: CayleyGraph):
     lower <<= 32
     lower |= edges[:, 0]
     lower.sort()
-    step = EXPORT_CHUNK // 3
+    step = BLOCK // 3
     seps = np.tile(np.array([32, 32, 10], dtype=np.uint8), step)
     for a in range(0, n, step):
         b = min(a + step, n)

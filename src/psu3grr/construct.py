@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import Field, FieldElem
+from .gf import BLOCK, Field, FieldElem
 from .mat3 import Mat3, is_special_unitary, projectively_equal
 
 
@@ -49,8 +49,6 @@ ODD_CONDITIONS = ("yz-xy", "yz-xz", "xy-xz")
 EVEN_CONDITIONS = ("zx-zy", "zx-xy", "zy-xy", "trace-nonzero")
 # conditions whose left side gets the p^i twist
 TWISTED = {"yz-xy", "yz-xz", "zx-zy", "zx-xy"}
-# field elements per block of the b predicate (valid_b_blocks)
-CENSUS_BLOCK = 1 << 14
 
 
 def require_supported(field: Field) -> str:
@@ -105,7 +103,7 @@ class GeneratorTriple(NamedTuple):
 
 def valid_b_blocks(field: Field, parity: str):
     """The b valid for the construction, as index arrays in enumeration
-    order, one block of CENSUS_BLOCK elements at a time (which bounds the
+    order, one block of BLOCK elements at a time (which bounds the
     temporaries).
 
     Both parities need b + b^q = 1 and b^(q+1) != 1.  The norm condition is
@@ -117,8 +115,8 @@ def valid_b_blocks(field: Field, parity: str):
     trace 0, so the trace test excludes it.
     """
     one = field.one.index
-    for lo in range(0, field.size, CENSUS_BLOCK):
-        b = np.arange(lo, min(lo + CENSUS_BLOCK, field.size))
+    for lo in range(0, field.size, BLOCK):
+        b = np.arange(lo, min(lo + BLOCK, field.size))
         bq = field.powq_np(b)
         valid = field.add_np(b, bq) == one
         valid &= field.mul_np(b, bq) != one  # b^(q+1) = b * b^q

@@ -37,6 +37,9 @@ import numpy as np
 
 # Hard ceiling on |GF(q^2)|; beyond this we refuse to build the field.
 SIZE_LIMIT = 1 << 20
+# Rows, points, field elements or numbers in one chunked numpy pass, which
+# keeps each pass's temporaries at a few MB.
+BLOCK = 1 << 14
 
 
 def factorize(n: int) -> dict[int, int]:

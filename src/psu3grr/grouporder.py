@@ -40,23 +40,19 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
 
 from .construct import GeneratorTriple
-from .gf import Field, FieldElem
+from .gf import BLOCK, Field, FieldElem
 from .linalg import nullspace, rref_np
 from .mat3 import (Mat3, adjugate_np, intertwiner_np, is_special_unitary,
                    matmul_np, vecmat_np)
 
 # Schreier pairs that _drain sifts together against one chain
 SIFT_BATCH = 512
-# Points per `IsotropicAction.permutation` block: every q <= 37 (degree
-# 50 654) is one block, and larger degrees keep the (block, 3, 3) products
-# at a few MB.
-PERM_BLOCK = 1 << 16
 
 
 class DegenerateActionError(RuntimeError):
@@ -160,12 +156,12 @@ class IsotropicAction:
 
     def permutation(self, mat: Mat3) -> np.ndarray:
         """Permutation array of the point indices under v -> v * M,
-        computed PERM_BLOCK points at a time."""
+        computed BLOCK points at a time (every q <= 25 in one block)."""
         m = np.array(mat.flat_indices, dtype=np.int64).reshape(3, 3)
         perm = np.empty(self.degree, dtype=self._dtype)
-        for lo in range(0, self.degree, PERM_BLOCK):
-            block = self.point_matrix[lo:lo + PERM_BLOCK]
-            perm[lo:lo + PERM_BLOCK] = self._locate(
+        for lo in range(0, self.degree, BLOCK):
+            block = self.point_matrix[lo:lo + BLOCK]
+            perm[lo:lo + BLOCK] = self._locate(
                 vecmat_np(self.field, block, m))
         return perm
 
@@ -282,7 +278,7 @@ class _Level:
         layer before under every generator, point by point.  First
         occurrences keep the scan's order and its Schreier-tree parents.
         The transversals of a layer are those of its parents times one
-        generator, one batched product per layer.
+        generator, formed BLOCK rows at a time into the layer's array.
         """
         ng = len(self.gens)
         # images run point by point over the last `width` generators; the
@@ -299,8 +295,11 @@ class _Level:
                 fresh = fresh[np.sort(first)]
             new = images[fresh]
             parent, gen = np.divmod(fresh, width)
-            rows = matmul_np(field, layers[-1][parent],
-                             self.mats[ng - width:][gen]).astype(np.int32)
+            rows = np.empty((len(new), 9), dtype=np.int32)
+            for lo in range(0, len(new), BLOCK):
+                rows[lo:lo + BLOCK] = matmul_np(
+                    field, layers[-1][parent[lo:lo + BLOCK]],
+                    self.mats[ng - width:][gen[lo:lo + BLOCK]])
             self.pos[new] = np.arange(n, n + len(new), dtype=np.int32)
             self.pending.append(n, n + len(new), 0, ng)
             n += len(new)
@@ -328,8 +327,9 @@ class StabilizerChain:
     permutation of the points (IsotropicAction.permutation), which grows
     the basic orbits; every level the generator is on holds that one
     array.  Each level keeps, per orbit position i, the Schreier-tree
-    transversal T[i] (beta^T[i] = orbit[i]), and a sift computes adj(T[i])
-    for the rows of its batch only.  The map from matrices to point
+    transversal T[i] (beta^T[i] = orbit[i]), int32, which _grow forms
+    layer by layer, BLOCK rows per product; a sift computes adj(T[i]) for
+    the rows of its batch only.  The map from matrices to point
     permutations is a homomorphism, so every base image the chain
     computes is the one the Schreier-Sims chain of the permutation image
     computes, and so are the orbits, the Schreier trees and the pending
@@ -527,9 +527,37 @@ def group_order(t: GeneratorTriple,
 
 def dihedral_image_order(t: GeneratorTriple,
                          action: IsotropicAction | None = None) -> int:
-    """Order of the permutation image of <Y, Z> (dihedral for valid triples)."""
+    """Order of the permutation image of <Y, Z>, read off the cycles of yz.
+
+    y and z, the permutations of Y and Z, must be distinct involutions;
+    DegenerateActionError otherwise.  For involutions y != z, <y, z> is
+    the split extension <yz>:<y>, of order 2 ord(yz): r = yz has y r y =
+    z y = r^-1, so <r> is normal in <y, z> = <r, y> with index at most 2,
+    and y is not in <r>: there y would commute with r, so r = r^-1, <r> =
+    {1, y} and z = y r = 1.  ord(r) is the lcm of its cycle lengths, found
+    by pointer doubling: after k rounds low[x] is the least of x and its
+    next 2^k - 1 images, and jump is r^(2^k).  A round that changes
+    nothing has low[x] <= low[jump[x]] for every x; following jump from x
+    around back to x, the windows tile the cycle of x and all share
+    low[x], which is then the least point of the cycle, so counting points
+    per low value gives the cycle lengths.
+    """
     action = action or IsotropicAction(t.field)
-    return permutation_order_certificate(action, (t.Y, t.Z)).order
+    ident = action.identity
+    y, z = action.permutation(t.Y), action.permutation(t.Z)
+    for name, g in (("Y", y), ("Z", z)):
+        if np.array_equal(g, ident) or not np.array_equal(g.take(g), ident):
+            raise DegenerateActionError(f"{name} is not an involution")
+    if np.array_equal(y, z):
+        raise DegenerateActionError("Y and Z act alike")
+    low, jump = ident, z.take(y)
+    while True:
+        least = np.minimum(low, low.take(jump))
+        if np.array_equal(least, low):
+            break
+        low, jump = least, jump.take(jump)
+    counts = np.bincount(low)
+    return 2 * lcm(*set(counts[counts > 0].tolist()))
 
 
 # ---------------------------------------------------------------------------

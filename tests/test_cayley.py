@@ -411,13 +411,13 @@ def _boundary_edges(top):
     return sorted(edges), ids[-1] + 2
 
 
-@pytest.mark.parametrize("chunk", [cayley.EXPORT_CHUNK, 5])
+@pytest.mark.parametrize("chunk", [cayley.BLOCK, 5])
 @pytest.mark.parametrize("fmt,top", [("edge-list", 10 ** 7)])
 def test_export_digits_cross_every_boundary(fmt, top, chunk, monkeypatch):
     """Ids of every decimal width up to 8 digits (q = 7 ids have 7), and
     chunks of mixed widths."""
     edges, n = _boundary_edges(top)
-    monkeypatch.setattr(cayley, "EXPORT_CHUNK", chunk)
+    monkeypatch.setattr(cayley, "BLOCK", chunk)
     assert export_graph(_toy(n, edges), fmt) == _scalar_export(n, edges, fmt)
 
 
@@ -429,13 +429,13 @@ def _mobius_ladder(n):
     return _toy(n, sorted(edges))
 
 
-@pytest.mark.parametrize("chunk", [cayley.EXPORT_CHUNK, 1000, 97])
+@pytest.mark.parametrize("chunk", [cayley.BLOCK, 1000, 97])
 def test_cubic_exports_cross_chunk_boundaries(chunk, monkeypatch):
     """Ids of 1 to 6 digits, in both formats; vertex 0 has only larger
     neighbours and vertex n - 1 only smaller ones."""
     g = _mobius_ladder(100002)
     edges = [tuple(e) for e in g.edges.tolist()]
-    monkeypatch.setattr(cayley, "EXPORT_CHUNK", chunk)
+    monkeypatch.setattr(cayley, "BLOCK", chunk)
     for fmt in ("edge-list", "adjacency"):
         assert export_graph(g, fmt) == _scalar_export(g.vertex_count, edges,
                                                       fmt), fmt

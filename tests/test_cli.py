@@ -109,14 +109,14 @@ def test_order_degree_gate_refuses_q131(capsys):
     assert cert["certificate_hash"] == certificate_hash(cert)
 
 
-@pytest.mark.parametrize("p,f,pairs", [(5, 1, 152), (2, 3, 271),
-                                       (13, 1, 371), (2, 4, 402),
-                                       (47, 1, 1922)])
+@pytest.mark.parametrize("p,f,pairs", [(5, 1, 140), (2, 3, 251),
+                                       (13, 1, 351), (2, 4, 366),
+                                       (47, 1, 1868)])
 def test_order_stage_schreier_pair_counts(p, f, pairs, monkeypatch):
-    """Schreier pairs sifted over both chains of the order stage: every
-    pair a level has had, |orbit| |gens|, less those left pending at the
-    stop.  perfbench/tracer.py reports this sum as
-    grouporder.schreier_pairs."""
+    """Schreier pairs sifted by the order stage's one chain (the dihedral
+    order is read off the cycles of yz): every pair a level has had,
+    |orbit| |gens|, less those left pending at the stop.
+    perfbench/tracer.py reports this sum as grouporder.schreier_pairs."""
     chains = []
     chain_init = grouporder.StabilizerChain.__init__
 
@@ -126,7 +126,7 @@ def test_order_stage_schreier_pair_counts(p, f, pairs, monkeypatch):
     monkeypatch.setattr(grouporder.StabilizerChain, "__init__", capture)
     _, code = run_certify(RunConfig(p, f, stages=("order",)))
     assert code == EXIT_OK
-    assert len(chains) == 2
+    assert len(chains) == 1
     assert sum(len(lv.orbit) * len(lv.gens) - len(lv.pending)
                for chain in chains for lv in chain.levels) == pairs
 

@@ -57,7 +57,7 @@ def test_valid_b_does_not_depend_on_the_block_size(monkeypatch, p, f, block):
     F = field(p, f)
     parity = require_supported(F)
     oracle = [b.index for b in _scan_valid_b(F, parity)]
-    monkeypatch.setattr(construct, "CENSUS_BLOCK", block)
+    monkeypatch.setattr(construct, "BLOCK", block)
     assert _valid_b(F, parity) == oracle
     assert find_b(F).index == oracle[0]
     assert count_valid_b(F) == len(oracle)

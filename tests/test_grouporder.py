@@ -338,12 +338,12 @@ def test_permutation_does_not_depend_on_the_block_size(p, f, block,
                                                        monkeypatch):
     """Smaller blocks, the last one short, give the default permutation at
     q = 5 (degree 126, one block by default) and q = 49 (degree 117 650,
-    two blocks)."""
+    eight blocks)."""
     F = field(p, f)
     act = IsotropicAction(F)
     mats = build_triple(search_params(F)).matrices
     default = [act.permutation(m) for m in mats]
-    monkeypatch.setattr(grouporder, "PERM_BLOCK", block)
+    monkeypatch.setattr(grouporder, "BLOCK", block)
     for m, perm in zip(mats, default):
         blocked = act.permutation(m)
         assert blocked.dtype == perm.dtype == act.identity.dtype
@@ -425,6 +425,39 @@ def test_dihedral_image_orders():
     E = field(2, 2)
     te = build_triple(search_params(E))
     assert dihedral_image_order(te) == 2 * (E.q + 1) == 10
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4), (3, 4)])
+def test_dihedral_order_matches_the_chain(p, f):
+    """2 ord(yz), read off the cycles of yz, is the order the Schreier-Sims
+    chain of <Y, Z> finds, at q = 4 to 16 and 81."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    assert dihedral_image_order(t, act) == \
+        grouporder.permutation_order_certificate(act, (t.Y, t.Z)).order
+
+
+@pytest.mark.parametrize("b", ["0,4", "1,1"])
+def test_dihedral_order_of_norm_one_b_triples(b):
+    """The q = 5 triples that collapse to a proper subgroup still have a
+    dihedral <Y, Z> of order 8, as the chain finds."""
+    F = field(5, 1)
+    t = build_triple(search_params(F)._replace(b=F.from_str(b)))
+    act = IsotropicAction(F)
+    assert dihedral_image_order(t, act) == 8 == \
+        grouporder.permutation_order_certificate(act, (t.Y, t.Z)).order
+
+
+def test_dihedral_order_needs_two_distinct_involutions():
+    F = field(5, 1)
+    t = build_triple(search_params(F))
+    c = F.from_str("2")  # a scalar multiple acts as the matrix does
+    for bad in (t._replace(Y=Mat3.identity(F)), t._replace(Z=t.Y * t.Z),
+                t._replace(Z=t.Y.scalar_mul(c))):
+        with pytest.raises(DegenerateActionError):
+            dihedral_image_order(bad)
 
 
 def test_degenerate_action_is_rejected():
@@ -602,6 +635,24 @@ def test_chain_does_not_depend_on_the_batch_size(p, f, batch, monkeypatch):
     assert _levels(_matrix_chain(act, t.matrices, bound)) == default
 
 
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 3), (13, 1)])
+def test_chain_does_not_depend_on_the_block_size(p, f, monkeypatch):
+    """Transversal layers formed 5 or 97 rows at a time give the default
+    base, orbit lengths and transversal rows."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    mats = build_triple(search_params(F)).matrices
+    bound = expected_group_order(F.q)
+    default = _matrix_chain(act, mats, bound)
+    for block in (5, 97):
+        monkeypatch.setattr(grouporder, "BLOCK", block)
+        chain = _matrix_chain(act, mats, bound)
+        assert chain.base == default.base
+        assert chain.orbit_lengths == default.orbit_lengths
+        for level, expected in zip(chain.levels, default.levels):
+            assert np.array_equal(level.T, expected.T)
+
+
 def test_pending_runs_match_a_deque_of_pairs():
     """_PendingPairs against a plain deque of pairs, driven through the
     same appends and batch takes.  A take reads the first n pairs; the
@@ -685,7 +736,7 @@ def test_strong_generators_are_held_once(p, f):
 
 def test_generation_chain_peak_at_q37():
     """The traced peak of the q = 37 generation chain (degree 50 654):
-    about 15.1 MiB with one array per strong generator's permutation and
+    about 15.6 MiB with one array per strong generator's permutation and
     int32 orbits and transversal layers, 17.8 MiB with a copy of every
     permutation per level and int64 ones."""
     F = field(37, 1)
@@ -699,6 +750,23 @@ def test_generation_chain_peak_at_q37():
         tracemalloc.stop()
     assert cert.order == expected_group_order(F.q)
     assert peak < 16.5 * 2 ** 20, peak
+
+
+def test_generation_chain_peak_at_q64():
+    """The traced peak of the q = 64 generation chain (degree 262 145):
+    about 39.3 MiB with transversal layers formed BLOCK rows at a time,
+    65.6 MiB with one int64 product per layer."""
+    F = field(2, 6)
+    act = IsotropicAction(F)
+    t = build_triple(search_params(F))
+    tracemalloc.start()
+    try:
+        cert = group_order(t, act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.order == expected_group_order(F.q)
+    assert peak < 48 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (2, 3), (3, 2)])
