@@ -14,7 +14,7 @@ Stages and their dependencies:
 
     search      parameter search for (b, a)
     construct   build X, Y, Z and check orders          (needs search)
-    order       exact group order on isotropic points   (needs construct)
+    order       group order and |<Y, Z>| = 2 ord(YZ)    (needs construct)
     irreducible invariant-subspace and commutant tests  (needs construct)
     aut         automorphism-triviality sweep           (needs order)
     graph       explicit Cayley graph (gated by size)   (needs order)
@@ -118,9 +118,8 @@ STAGE_DEPS = {
 VERDICT_STAGES = ("search", "construct", "order", "irreducible", "aut")
 
 # order certification above this permutation degree needs an explicit flag;
-# every q <= 128 (degree <= 2 097 153) certifies in at most about 15 s and
-# 900 MB, and the next supported q, 131 (degree 2 248 092), is the first
-# one refused
+# every q <= 128 (degree <= 2 097 153) certifies in at most 6.4 s and 364 MB
+# (q = 121 and 128), and q = 131 (degree 2 248 092) is the first refused
 ORDER_DEGREE_GATE = 2100000
 
 
@@ -324,7 +323,7 @@ def _stage_order(state, cfg: RunConfig) -> dict:
         raise InternalInconsistency(
             f"generation chain exceeded |PSU3({fld.q})|: {exc}",
             {"degree": degree, "expected_order": expected}) from exc
-    dihedral = dihedral_image_order(t, action)
+    dihedral = dihedral_image_order(t)
     dihedral_expected = 2 * t.rotation[2]
     state["order_cert"] = cert
     out = {

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +49,7 @@ from .construct import GeneratorTriple
 from .gf import BLOCK, Field, FieldElem
 from .linalg import nullspace, rref_np
 from .mat3 import (Mat3, adjugate_np, intertwiner_np, is_special_unitary,
-                   matmul_np, vecmat_np)
+                   matmul_np, projective_order, projectively_equal, vecmat_np)
 
 # Schreier pairs that _drain sifts together against one chain
 SIFT_BATCH = 512
@@ -120,7 +120,7 @@ class IsotropicAction:
         rank = np.empty_like(x)
         rank[by_trace] = x - np.searchsorted(sorted_trace, sorted_trace)
         self._trace, self._minus_norm, self._rank = trace, minus_norm, rank
-        pts = np.empty((fld.size * q + 1, 3), dtype=np.int64)
+        pts = np.empty((fld.size * q + 1, 3), dtype=np.int32)
         pts[0] = (0, 0, one)
         pts[1:, 0] = one
         pts[1:, 1] = np.repeat(x, q)
@@ -277,17 +277,20 @@ class _Level:
         new generator on the old orbit; each later layer comes from the
         layer before under every generator, point by point.  First
         occurrences keep the scan's order and its Schreier-tree parents.
-        The transversals of a layer are those of its parents times one
-        generator, formed BLOCK rows at a time into the layer's array.
+        A first pass closes the orbit on points alone; then orbit and T are
+        allocated at their final length, and each layer's transversals, its
+        parents' times one generator, are formed BLOCK rows at a time
+        straight into T.
         """
         ng = len(self.gens)
         # images run point by point over the last `width` generators; the
         # first layer's are distinct, one permutation of distinct points
         images, width = self.gens[-1][self.orbit], 1
-        n = len(self.orbit)
-        points, layers = [self.orbit], [self.T]
+        start = n = len(self.orbit)
+        prev = 0    # orbit position of the layer the images come from
+        grown = []  # per layer: points, parent positions, generator indices
         while True:
-            fresh = (self.pos[images] < 0).nonzero()[0]
+            fresh = (self.pos[images] < 0).nonzero()[0].astype(np.int32)
             if not len(fresh):
                 break
             if width > 1 and len(fresh) > 1:
@@ -295,21 +298,26 @@ class _Level:
                 fresh = fresh[np.sort(first)]
             new = images[fresh]
             parent, gen = np.divmod(fresh, width)
-            rows = np.empty((len(new), 9), dtype=np.int32)
-            for lo in range(0, len(new), BLOCK):
-                rows[lo:lo + BLOCK] = matmul_np(
-                    field, layers[-1][parent[lo:lo + BLOCK]],
-                    self.mats[ng - width:][gen[lo:lo + BLOCK]])
+            grown.append((new, parent + prev, gen + (ng - width)))
             self.pos[new] = np.arange(n, n + len(new), dtype=np.int32)
             self.pending.append(n, n + len(new), 0, ng)
-            n += len(new)
-            points.append(new)
-            layers.append(rows)
+            prev, n = n, n + len(new)
             images = np.stack([g.take(new) for g in self.gens], axis=1)
             images, width = images.ravel(), ng
-        if len(layers) > 1:
-            self.orbit = np.concatenate(points, dtype=np.int32)
-            self.T = np.concatenate(layers)
+        if not grown:
+            return
+        orbit = np.empty(n, dtype=np.int32)
+        T = np.empty((n, 9), dtype=np.int32)
+        orbit[:start], T[:start] = self.orbit, self.T
+        for new, parent, gen in grown:
+            orbit[start:start + len(new)] = new
+            rows = T[start:start + len(new)]
+            for lo in range(0, len(new), BLOCK):
+                rows[lo:lo + BLOCK] = matmul_np(
+                    field, T[parent[lo:lo + BLOCK]],
+                    self.mats[gen[lo:lo + BLOCK]])
+            start += len(new)
+        self.orbit, self.T = orbit, T
 
 
 class StabilizerChain:
@@ -525,39 +533,31 @@ def group_order(t: GeneratorTriple,
     return permutation_order_certificate(action, t.matrices, bound)
 
 
-def dihedral_image_order(t: GeneratorTriple,
-                         action: IsotropicAction | None = None) -> int:
-    """Order of the permutation image of <Y, Z>, read off the cycles of yz.
+def dihedral_image_order(t: GeneratorTriple) -> int:
+    """Order of the permutation image of <Y, Z>: 2 ord(YZ) in PSU3(q).
 
-    y and z, the permutations of Y and Z, must be distinct involutions;
-    DegenerateActionError otherwise.  For involutions y != z, <y, z> is
-    the split extension <yz>:<y>, of order 2 ord(yz): r = yz has y r y =
-    z y = r^-1, so <r> is normal in <y, z> = <r, y> with index at most 2,
-    and y is not in <r>: there y would commute with r, so r = r^-1, <r> =
-    {1, y} and z = y r = 1.  ord(r) is the lcm of its cycle lengths, found
-    by pointer doubling: after k rounds low[x] is the least of x and its
-    next 2^k - 1 images, and jump is r^(2^k).  A round that changes
-    nothing has low[x] <= low[jump[x]] for every x; following jump from x
-    around back to x, the windows tile the cycle of x and all share
-    low[x], which is then the least point of the cycle, so counting points
-    per low value gives the cycle lengths.
+    Y and Z must be non-scalar, square to I and differ modulo the centre,
+    the tests of construct.check_connection_set (DegenerateActionError
+    otherwise), and lie in SU3(q) (ValueError otherwise).  Then no
+    permutation is needed.  The kernel of the point action of SU3(q) is its
+    centre (a matrix fixing a projective frame is scalar, see
+    StabilizerChain), so the image of <Y, Z> is <y, z>, with y and z the
+    distinct involutions of PSU3(q) that Y and Z project to.  <y, z> is the
+    split extension <yz>:<y>, of order 2 ord(yz): r = yz has y r y = z y =
+    r^-1, so <r> is normal in <y, z> = <r, y> with index at most 2, and y
+    is not in <r>: there y would commute with r, so r = r^-1, <r> = {1, y}
+    and z = y r = 1.  ord(yz) is the least n with (YZ)^n central, and the
+    even-q rotation ZY = Y (YZ) Y has the same projective order.
     """
-    action = action or IsotropicAction(t.field)
-    ident = action.identity
-    y, z = action.permutation(t.Y), action.permutation(t.Z)
-    for name, g in (("Y", y), ("Z", z)):
-        if np.array_equal(g, ident) or not np.array_equal(g.take(g), ident):
+    ident = Mat3.identity(t.field)
+    for name, m in (("Y", t.Y), ("Z", t.Z)):
+        if m.is_scalar() or m * m != ident:
             raise DegenerateActionError(f"{name} is not an involution")
-    if np.array_equal(y, z):
+        if not is_special_unitary(m):
+            raise ValueError(f"{name} is not in SU3({t.field.q})")
+    if projectively_equal(t.Y, t.Z):
         raise DegenerateActionError("Y and Z act alike")
-    low, jump = ident, z.take(y)
-    while True:
-        least = np.minimum(low, low.take(jump))
-        if np.array_equal(least, low):
-            break
-        low, jump = least, jump.take(jump)
-    counts = np.bincount(low)
-    return 2 * lcm(*set(counts[counts > 0].tolist()))
+    return 2 * projective_order(t.rotation[1])
 
 
 # ---------------------------------------------------------------------------

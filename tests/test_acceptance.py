@@ -20,9 +20,9 @@ from psu3grr.construct import (build_triple, charpoly_coeffs,
                                exponent_set, require_supported,
                                search_params)
 from psu3grr.gf import field
-from psu3grr.grouporder import (IsotropicAction, commutant_dimension,
-                                dihedral_image_order, expected_group_order,
-                                group_order, invariant_subspace_test)
+from psu3grr.grouporder import (commutant_dimension, dihedral_image_order,
+                                expected_group_order, group_order,
+                                invariant_subspace_test)
 from psu3grr.mat3 import is_special_unitary, matrix_order, projective_order, \
     Mat3
 
@@ -47,9 +47,7 @@ def pipelines():
         t = build_triple(cp)
         entry = {"field": F, "params": cp, "triple": t}
         if (p, f) in SMALL_QS:
-            action = IsotropicAction(F)
-            entry["action"] = action
-            entry["order_cert"] = group_order(t, action)
+            entry["order_cert"] = group_order(t)
         out[F.q] = entry
     return out
 
@@ -114,7 +112,7 @@ def test_criterion_5_generation(pipelines):
         assert cert.order == expected, q
         assert cert.degree == q ** 3 + 1
         parity = entry["params"].parity
-        dihedral = dihedral_image_order(entry["triple"], entry["action"])
+        dihedral = dihedral_image_order(entry["triple"])
         assert dihedral == (2 * (q - 1) if parity == "odd" else 2 * (q + 1))
     qs = sorted(q for q, e in pipelines.items() if "order_cert" in e)
     ok(5, f"exact group order q^3(q^3+1)(q^2-1)/gcd(3,q+1) and dihedral "

@@ -114,8 +114,8 @@ def test_order_degree_gate_refuses_q131(capsys):
                                        (47, 1, 1868)])
 def test_order_stage_schreier_pair_counts(p, f, pairs, monkeypatch):
     """Schreier pairs sifted by the order stage's one chain (the dihedral
-    order is read off the cycles of yz): every pair a level has had,
-    |orbit| |gens|, less those left pending at the stop.
+    order is 2 ord(YZ), read off the rotation's matrix): every pair a level
+    has had, |orbit| |gens|, less those left pending at the stop.
     perfbench/tracer.py reports this sum as grouporder.schreier_pairs."""
     chains = []
     chain_init = grouporder.StabilizerChain.__init__
@@ -405,7 +405,7 @@ def _nontrivial_aut(t, order_cert):
      lambda m: 2 if mat3.projective_order(m) == 2 else 7, "construct",
      {"projective_orders": [2, 2, 2], "rotation_order": 7,
       "rotation_order_expected": 4}),
-    ("dihedral_image_order", lambda t, action: 6, "order",
+    ("dihedral_image_order", lambda t: 6, "order",
      {"order": 126000, "dihedral_order": 6, "dihedral_order_expected": 8}),
     ("commutant_dimension", lambda t: 2, "irreducible",
      {"invariant_subspace_test": True, "commutant_dimension": 2}),

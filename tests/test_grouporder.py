@@ -430,12 +430,12 @@ def test_dihedral_image_orders():
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                                  (11, 1), (13, 1), (2, 4), (3, 4)])
 def test_dihedral_order_matches_the_chain(p, f):
-    """2 ord(yz), read off the cycles of yz, is the order the Schreier-Sims
-    chain of <Y, Z> finds, at q = 4 to 16 and 81."""
+    """2 ord(YZ), read off the projective order of the rotation, is the
+    order the Schreier-Sims chain of <Y, Z> finds, at q = 4 to 16 and 81."""
     F = field(p, f)
     act = IsotropicAction(F)
     t = build_triple(search_params(F))
-    assert dihedral_image_order(t, act) == \
+    assert dihedral_image_order(t) == \
         grouporder.permutation_order_certificate(act, (t.Y, t.Z)).order
 
 
@@ -446,7 +446,7 @@ def test_dihedral_order_of_norm_one_b_triples(b):
     F = field(5, 1)
     t = build_triple(search_params(F)._replace(b=F.from_str(b)))
     act = IsotropicAction(F)
-    assert dihedral_image_order(t, act) == 8 == \
+    assert dihedral_image_order(t) == 8 == \
         grouporder.permutation_order_certificate(act, (t.Y, t.Z)).order
 
 
@@ -458,6 +458,19 @@ def test_dihedral_order_needs_two_distinct_involutions():
                 t._replace(Z=t.Y.scalar_mul(c))):
         with pytest.raises(DegenerateActionError):
             dihedral_image_order(bad)
+    # -Y is an involution acting as Y does, but it is not in SU3(5)
+    with pytest.raises(ValueError, match="not in SU3"):
+        dihedral_image_order(t._replace(Y=t.Y.scalar_mul(F.from_str("4"))))
+
+
+def test_dihedral_order_builds_no_permutation(monkeypatch):
+    def refuse(self, mat):
+        raise AssertionError("dihedral_image_order built a permutation")
+    monkeypatch.setattr(IsotropicAction, "permutation", refuse)
+    for p, f in [(5, 1), (2, 2)]:
+        F = field(p, f)
+        t = build_triple(search_params(F))
+        assert dihedral_image_order(t) == 2 * t.rotation[2]
 
 
 def test_degenerate_action_is_rejected():
