@@ -9,7 +9,8 @@ Each element g is keyed by where it sends three isotropic points.  The
 points f1, f2, f3 are points of `IsotropicAction.point_matrix`, not
 collinear (`frame_points`), and the key of g is the point indices of
 g f1, g f2, g f3, with g acting on column vectors.  The key identifies the
-element:
+element of the group X, Y and Z generate, which `build_graph` first puts
+in SU3(q) through `construct.check_connection_set`:
 
 * SU3(q) meets the scalars exactly in its center, so PSU3(q) embeds in
   PGL3(q^2): g and h are the same element of PSU3(q) exactly when h^-1 g

@@ -269,15 +269,19 @@ def _even_matrices(field: Field, a: FieldElem, b: FieldElem):
 
 
 def check_connection_set(matrices) -> None:
-    """Raise ConnectionSetError unless X, Y, Z project to three distinct
-    involutions of PSU3(q).
+    """Raise ConnectionSetError unless X, Y, Z lie in SU3(q) and project to
+    three distinct involutions of PSU3(q): the hypothesis of the whole
+    certificate, tested here only.
 
-    Each must be non-scalar with square I (for a non-scalar matrix that is
-    order 2), and no two may be equal up to a center scalar.
+    Each must be in SU3(q), non-scalar and square to I (for a non-scalar
+    matrix that is order 2), and no two may be equal up to a center scalar.
     """
     named = tuple(zip("XYZ", matrices))
-    ident = Mat3.identity(matrices[0].field)
+    fld = matrices[0].field
+    ident = Mat3.identity(fld)
     for name, m in named:
+        if not is_special_unitary(m):
+            raise ConnectionSetError(f"{name} is not in SU3({fld.q})")
         if m.is_scalar():
             raise ConnectionSetError(f"{name} projects to the identity")
         if m * m != ident:
@@ -288,18 +292,12 @@ def check_connection_set(matrices) -> None:
 
 
 def build_triple(cp: ConstructionParams) -> GeneratorTriple:
-    """Materialize (X, Y, Z) and certify the basic integrity facts:
-
-    membership in SU3(q), and that the projected connection set has three
-    distinct involutions (`check_connection_set`).
-    """
+    """Materialize (X, Y, Z) and refuse them unless `check_connection_set`
+    passes."""
     field = cp.field
     if cp.parity == "odd":
         x, y, z = _odd_matrices(field, cp.a, cp.b)
     else:
         x, y, z = _even_matrices(field, cp.a, cp.b)
-    for name, m in (("X", x), ("Y", y), ("Z", z)):
-        if not is_special_unitary(m):
-            raise ConstructionError(f"{name} is not in SU3({field.q})")
     check_connection_set((x, y, z))
     return GeneratorTriple(cp, x, y, z)

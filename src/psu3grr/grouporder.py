@@ -22,11 +22,12 @@ for step, so its base, orbit lengths and order are those of the image
 
 The chain stops early once its order reaches |PSU3(q)| (see
 StabilizerChain for why the result is then the same as a full run).
-group_order uses |PSU3(q)| as that bound only after checking itself that
-X, Y and Z are in SU3(q), so that the image is known to lie in PSU3(q); a
-triple that fails the check gets no bound.  A triple that generates a
-proper subgroup never reaches the bound, so its chain runs to the end and
-the subgroup order it reports is exact.
+group_order uses |PSU3(q)| as that bound only after
+construct.check_connection_set has put X, Y and Z in SU3(q), so that the
+image is known to lie in PSU3(q); a triple that fails the check is
+refused.  A triple that generates a proper subgroup never reaches the
+bound, so its chain runs to the end and the subgroup order it reports is
+exact.
 
 Absolute irreducibility is certified in two parts of one argument.  The
 eigenline test (invariant_subspace_test) proves that the triple fixes no
@@ -45,18 +46,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construct import GeneratorTriple
+from .construct import GeneratorTriple, check_connection_set
 from .gf import BLOCK, Field, FieldElem
 from .linalg import nullspace, rref_np
-from .mat3 import (Mat3, adjugate_np, intertwiner_np, is_special_unitary,
-                   matmul_np, projective_order, projectively_equal, vecmat_np)
+from .mat3 import (Mat3, adjugate_np, intertwiner_np, matmul_np,
+                   projective_order, vecmat_np)
 
 # Schreier pairs that _drain sifts together against one chain
 SIFT_BATCH = 512
-
-
-class DegenerateActionError(RuntimeError):
-    """A supposed generator acts trivially on the isotropic points."""
 
 
 class OrderBoundExceeded(RuntimeError):
@@ -519,28 +516,23 @@ def group_order(t: GeneratorTriple,
                 action: IsotropicAction | None = None) -> PermGroupCertificate:
     """Exact order of the permutation image of <X, Y, Z> on isotropic points.
 
-    When X, Y and Z are in SU3(q), the image lies in PSU3(q) and the chain
-    stops once it reaches |PSU3(q)|; otherwise it gets no bound and drains
-    completely.  A generator acts trivially exactly when it is scalar.
+    construct.check_connection_set puts X, Y and Z in SU3(q)
+    (ConnectionSetError otherwise), so the image lies in PSU3(q) and the
+    chain stops once it reaches |PSU3(q)|.
     """
+    check_connection_set(t.matrices)
     action = action or IsotropicAction(t.field)
-    for name, m in zip("XYZ", t.matrices):
-        if m.is_scalar():
-            raise DegenerateActionError(f"generator {name} acts trivially")
-    bound = None
-    if all(is_special_unitary(m) for m in t.matrices):
-        bound = expected_group_order(t.field.q)
-    return permutation_order_certificate(action, t.matrices, bound)
+    return permutation_order_certificate(action, t.matrices,
+                                         expected_group_order(t.field.q))
 
 
 def dihedral_image_order(t: GeneratorTriple) -> int:
     """Order of the permutation image of <Y, Z>: 2 ord(YZ) in PSU3(q).
 
-    Y and Z must be non-scalar, square to I and differ modulo the centre,
-    the tests of construct.check_connection_set (DegenerateActionError
-    otherwise), and lie in SU3(q) (ValueError otherwise).  Then no
-    permutation is needed.  The kernel of the point action of SU3(q) is its
-    centre (a matrix fixing a projective frame is scalar, see
+    construct.check_connection_set (ConnectionSetError otherwise) makes Y
+    and Z matrices of SU3(q) that project to distinct involutions, and
+    then no permutation is needed.  The kernel of the point action of
+    SU3(q) is its centre (a matrix fixing a projective frame is scalar, see
     StabilizerChain), so the image of <Y, Z> is <y, z>, with y and z the
     distinct involutions of PSU3(q) that Y and Z project to.  <y, z> is the
     split extension <yz>:<y>, of order 2 ord(yz): r = yz has y r y = z y =
@@ -549,14 +541,7 @@ def dihedral_image_order(t: GeneratorTriple) -> int:
     and z = y r = 1.  ord(yz) is the least n with (YZ)^n central, and the
     even-q rotation ZY = Y (YZ) Y has the same projective order.
     """
-    ident = Mat3.identity(t.field)
-    for name, m in (("Y", t.Y), ("Z", t.Z)):
-        if m.is_scalar() or m * m != ident:
-            raise DegenerateActionError(f"{name} is not an involution")
-        if not is_special_unitary(m):
-            raise ValueError(f"{name} is not in SU3({t.field.q})")
-    if projectively_equal(t.Y, t.Z):
-        raise DegenerateActionError("Y and Z act alike")
+    check_connection_set(t.matrices)
     return 2 * projective_order(t.rotation[1])
 
 

@@ -103,6 +103,16 @@ def test_import_rejects_vertex_ids_out_of_range(data):
         import_edge_list(data)
 
 
+def test_import_rejects_other_exports():
+    g = _toy(4, list(combinations(range(4), 2)))
+    with pytest.raises(ValueError, match="not an edge-list export"):
+        import_edge_list(export_graph(g, "adjacency"))
+    lines = export_graph(g, "edge-list").splitlines(keepends=True)
+    assert import_edge_list(b"".join(lines))[0] == 4
+    with pytest.raises(ValueError, match="edge count mismatch"):
+        import_edge_list(b"".join(lines[:-1]))
+
+
 def test_graph_build_memory_is_bounded():
     """The q = 5 BFS writes each level's edges, sorted, straight into the
     returned 1.5 MB int32 (m, 2) array, and the degree check counts over
@@ -236,6 +246,10 @@ def test_connection_set_violations_are_rejected():
     non_involution = GeneratorTriple(cp, t.X, t.Y, t.Y * t.Z)
     with pytest.raises(ConnectionSetError):
         build_graph(non_involution, expected_group_order(F.q))
+    # -Y is an involution acting as Y does, but the key argument needs SU3
+    outside_su3 = GeneratorTriple(cp, t.X, t.Y.scalar_mul(-F.one), t.Z)
+    with pytest.raises(ConnectionSetError, match="Y is not in SU3"):
+        build_graph(outside_su3, expected_group_order(F.q))
 
 
 def test_key_packing_limit_refuses_large_q():

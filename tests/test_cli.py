@@ -432,6 +432,23 @@ def test_runner_records_each_stage_failure(name, fake, stage, diagnostics,
     assert cert["certificate_hash"] == certificate_hash(cert)
 
 
+def test_triple_outside_su3_fails_the_order_stage(monkeypatch):
+    """-Y is an involution of det -1: it passes the construct stage's
+    order checks, and the order stage's connection-set check refuses it
+    with a certificate, not an escaping exception."""
+    def minus_y(cp):
+        t = build_triple(cp)
+        return t._replace(Y=t.Y.scalar_mul(-t.field.one))
+    monkeypatch.setattr(cli, "build_triple", minus_y)
+    cert, code = run_certify(RunConfig(5, 1))
+    assert code == EXIT_STAGE_FAILED
+    assert cert["verdict"] == "FAILED"
+    assert cert["failed_stage"] == "order"
+    assert cert["stages_run"] == ["search", "construct"]
+    assert cert["detail"] == "Y is not in SU3(5)"
+    assert cert["certificate_hash"] == certificate_hash(cert)
+
+
 def test_internal_inconsistency_exit_code(monkeypatch):
     """Fast path holding while the oracle finds a witness is impossible;
     simulate it to pin the dedicated exit code."""

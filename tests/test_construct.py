@@ -191,7 +191,9 @@ def test_connection_set_check_names_the_violation():
     t = build_triple(search_params(F))
     assert issubclass(ConnectionSetError, ConstructionError)
     check_connection_set(t.matrices)
-    for bad, message in [((t.X, t.Y, Mat3.identity(F)), "Z projects to"),
+    minus_y = t.Y.scalar_mul(-F.one)  # an involution, det -1
+    for bad, message in [((t.X, minus_y, t.Z), r"Y is not in SU3\(5\)"),
+                         ((t.X, t.Y, Mat3.identity(F)), "Z projects to"),
                          ((t.X, t.Y, t.Y * t.Z), "Z is not an involution"),
                          ((t.X, t.Y, t.X), "X and Z coincide")]:
         with pytest.raises(ConnectionSetError, match=message):

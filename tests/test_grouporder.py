@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from psu3grr import grouporder
-from psu3grr.construct import GeneratorTriple, build_triple, search_params
+from psu3grr.construct import (ConnectionSetError, GeneratorTriple,
+                               build_triple, search_params)
 from psu3grr.gf import field
-from psu3grr.grouporder import (DegenerateActionError, IsotropicAction,
-                                OrderBoundExceeded, StabilizerChain,
-                                commutant_dimension,
+from psu3grr.grouporder import (IsotropicAction, OrderBoundExceeded,
+                                StabilizerChain, commutant_dimension,
                                 dihedral_image_order, expected_group_order,
                                 group_order, invariant_subspace_test)
 from psu3grr.mat3 import (Mat3, is_special_unitary, standard_hermitian_form,
@@ -456,10 +456,10 @@ def test_dihedral_order_needs_two_distinct_involutions():
     c = F.from_str("2")  # a scalar multiple acts as the matrix does
     for bad in (t._replace(Y=Mat3.identity(F)), t._replace(Z=t.Y * t.Z),
                 t._replace(Z=t.Y.scalar_mul(c))):
-        with pytest.raises(DegenerateActionError):
+        with pytest.raises(ConnectionSetError):
             dihedral_image_order(bad)
     # -Y is an involution acting as Y does, but it is not in SU3(5)
-    with pytest.raises(ValueError, match="not in SU3"):
+    with pytest.raises(ConnectionSetError, match="Y is not in SU3"):
         dihedral_image_order(t._replace(Y=t.Y.scalar_mul(F.from_str("4"))))
 
 
@@ -477,7 +477,7 @@ def test_degenerate_action_is_rejected():
     F = field(5, 1)
     cp = search_params(F)
     I = Mat3.identity(F)
-    with pytest.raises(DegenerateActionError):
+    with pytest.raises(ConnectionSetError, match="X projects to"):
         group_order(GeneratorTriple(cp, I, I, I))
 
 
@@ -795,7 +795,9 @@ def test_batched_images_are_permutation_rows(p, f):
 
 
 def test_only_special_unitary_triples_get_the_order_bound(monkeypatch):
-    """c * X with c^(q+1) = 1, c^3 != 1 acts like X but is not in SU3(q)."""
+    """c * X with c^(q+1) = 1, c^3 != 1 acts like X but is not in SU3(q):
+    group_order refuses it before any chain is built, and gives an SU3
+    triple the bound |PSU3(q)|."""
     F = field(5, 1)
     cp = search_params(F)
     t = build_triple(cp)
@@ -811,8 +813,11 @@ def test_only_special_unitary_triples_get_the_order_bound(monkeypatch):
         return certify(action, matrices, order_bound)
     monkeypatch.setattr(grouporder, "permutation_order_certificate", spy)
     act = IsotropicAction(F)
-    assert group_order(scaled, act) == group_order(t, act)
-    assert bounds == [None, expected_group_order(F.q)]
+    with pytest.raises(ConnectionSetError, match="X is not in SU3"):
+        group_order(scaled, act)
+    assert bounds == []
+    assert group_order(t, act).order == expected_group_order(F.q)
+    assert bounds == [expected_group_order(F.q)]
 
 
 def test_chain_raises_when_the_bound_is_too_small():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -54,6 +55,8 @@ def test_constructor_takes_nine_flat_field_elements():
         Mat3(F, [1] * 9)
     with pytest.raises(ValueError, match="exactly 9"):
         Mat3(F, rows)
+    with pytest.raises(ValueError, match="exactly 9"):
+        Mat3(F, [one] * 8)
     with pytest.raises(ValueError, match="different field"):
         Mat3(F, [field(2, 2).one] * 9)
 
@@ -244,6 +247,40 @@ def test_orders_past_q_squared_at_q7():
     for order in (matrix_order, projective_order):
         with pytest.raises(ArithmeticError):
             order(singular)
+
+
+def _brute_orders(m, bound):
+    """(matrix order, projective order) of m by repeated multiplication,
+    each None if it exceeds the bound."""
+    ident = Mat3.identity(m.field)
+    centre = {ident.scalar_mul(c) for c in su3_center_scalars(m.field)}
+    power, proj = m, None
+    for n in range(1, bound + 1):
+        if proj is None and power in centre:
+            proj = n
+        if power == ident:
+            return n, proj
+        power = power * m
+    return None, proj
+
+
+def test_order_loop_refuses_past_q_cubed_at_q2():
+    """Over GF(4), q = 2, the bound is q^3 = 8.  Companion matrices of
+    invertible cubics lie outside SU3(2), and some have orders past it:
+    the loop raises rather than return a wrong order."""
+    F = field(2, 1)
+    m = Mat3.from_str(F, "0,0 0,0 0,1;1,0 0,0 0,0;0,0 1,0 0,0")
+    assert _brute_orders(m, 64) == (9, 3)
+    assert projective_order(m) == 3
+    with pytest.raises(ArithmeticError, match=r"order bound q\^3 exceeded"):
+        matrix_order(m)
+    zero, one = F.zero, F.one
+    companions = (Mat3(F, (zero, zero, c, one, zero, b, zero, one, a))
+                  for a, b, c in product(F.elements(), repeat=3) if c)
+    far = next(c for c in companions
+               if (_brute_orders(c, 64)[1] or 65) > F.q ** 3)
+    with pytest.raises(ArithmeticError, match=r"order bound q\^3 exceeded"):
+        projective_order(far)
 
 
 def test_serialization_round_trip():
