@@ -6,7 +6,7 @@ deterministically (the identity gets index 0) and yields the undirected
 edges {g, sg} at the same time.
 
 Each element g is keyed by where it sends three isotropic points.  The
-points f1, f2, f3 are points of `IsotropicAction.point_matrix`, not
+points f1, f2, f3 are the points 0, 1 and q + 1 of `IsotropicAction`, not
 collinear (`frame_points`), and the key of g is the point indices of
 g f1, g f2, g f3, with g acting on column vectors.  The key identifies the
 element of the group X, Y and Z generate, which `build_graph` first puts
@@ -89,7 +89,9 @@ The closure runs one BFS level at a time on numpy arrays:
   the returned (m, 2) array after those of the levels before, and the
   blocks concatenate into sorted order with no final sort.
 
-Everything but the keys is int32: vertex ids, column positions, parents,
+The keys' point-index digits are int16 at every q a graph is built for
+(the permutations' dtype, at degree q^3 + 1 <= 1332), packed keys int64,
+and everything else int32: vertex ids, column positions, parents,
 generators, run starts and the returned edges.  That is exact as long as
 3n < 2^31, and at q = MAX_KEY_Q, 3n = 3 * 70 915 680 = 212 747 040 <
 2^28.  `_bfs` checks both this bound and the int64 one above for the
@@ -102,23 +104,22 @@ counts it in blocks, and exports are written in chunks straight from it,
 the adjacency export as the rows of the (n, 3) neighbour table of the
 cubic graph (see `_adjacency_chunks`).
 
-The full graph is only built for groups up to |PSU3(5)| = 126000 vertices
-unless explicitly overridden; nothing downstream needs the explicit graph,
-it exists for export and independent cross-checks.
+The triple alone fixes the graph, on |PSU3(q)| vertices, built only up to
+|PSU3(5)| = 126000 unless overridden; nothing downstream needs it, it
+exists for export and independent cross-checks.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
+from . import grouporder
 from .construct import (ConnectionSetError, GeneratorTriple,
                         check_connection_set)
 from .gf import BLOCK, Field
 from .grouporder import IsotropicAction
-from .mat3 import Mat3
 
 DEFAULT_MAX_VERTICES = 126000
 # Largest q whose graph is built at all, even when allowed past the default
@@ -140,23 +141,16 @@ def _pack(cols: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def frame_points(action: IsotropicAction) -> tuple[int, ...]:
-    """The first three isotropic points, in point order, not collinear.
+def frame_points(q: int) -> tuple[int, int, int]:
+    """Three isotropic points, not collinear: 0, 1 and q + 1.
 
-    Each point is taken greedily unless it lies on the line through the two
-    points already taken.  One always exists: a line holds at most q + 1
-    isotropic points, fewer than the q^3 + 1.
+    In the order of `IsotropicAction.point_matrix`, point 0 is [0, 0, 1]
+    and points 1 to q are the [1, 0, y] with y + y^q = 0, all on the line
+    v1 = 0; point q + 1 is [1, x, y] with x the field element of index 1,
+    which is not 0.  The three rows have determinant x, so the points are
+    not collinear.
     """
-    fld = action.field
-    rows = action.point_matrix.tolist()
-    frame: list[int] = []
-    for i, row in enumerate(rows):
-        if all(Mat3.from_flat_indices(fld, rows[j] + rows[k] + row).det()
-               for j, k in combinations(frame, 2)):
-            frame.append(i)
-            if len(frame) == 3:
-                return tuple(frame)
-    raise AssertionError("every isotropic point is on one line")
+    return 0, 1, q + 1
 
 
 class CayleyGraph(NamedTuple):
@@ -164,8 +158,10 @@ class CayleyGraph(NamedTuple):
     edges: np.ndarray   # int32 (m, 2): u < v in each row, rows sorted
 
 
-def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
-    """Refuse a graph the BFS cannot or should not build, before any work."""
+def check_graph_gate(field: Field, allow_large: bool) -> int:
+    """Refuse a graph the BFS cannot or should not build, before any work;
+    otherwise return its vertex count |PSU3(q)|."""
+    expected_order = grouporder.expected_group_order(field.q)
     if expected_order > DEFAULT_MAX_VERTICES and not allow_large:
         raise GraphSizeError(
             f"|PSU3({field.q})| = {expected_order} vertices exceeds the "
@@ -176,6 +172,7 @@ def check_graph_gate(field: Field, expected_order: int, allow_large: bool):
             f"q = {field.q}: |PSU3({field.q})| = {expected_order} vertices "
             f"do not fit in memory; graphs are built for q <= {MAX_KEY_Q} "
             "only")
+    return expected_order
 
 
 def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
@@ -194,7 +191,7 @@ def _bfs(t: GeneratorTriple, action: IsotropicAction, expected_order: int):
     # children s * v are gathered from one table of the permutations: the
     # image of point x under generator s is table[s * base + x]
     table = np.concatenate(perms)
-    frontier = np.array(frame_points(action), dtype=table.dtype)[:, None]
+    frontier = np.array(frame_points(action.field.q), table.dtype)[:, None]
     # the current level's keys, sorted, with the vertex ids alongside
     level_keys, level_ids = _pack(frontier, base), np.zeros(1, dtype=np.int32)
     # per frontier vertex, bit s set when s * v lies in the previous level
@@ -334,13 +331,13 @@ def _check_cubic(n: int, edges: np.ndarray):
         raise RuntimeError("graph is not 3-regular")
 
 
-def build_graph(t: GeneratorTriple, expected_order: int,
-                allow_large: bool = False) -> CayleyGraph:
-    check_graph_gate(t.field, expected_order, allow_large)
+def build_graph(t: GeneratorTriple, allow_large: bool = False) -> CayleyGraph:
+    """Cay(PSU3(q), {X, Y, Z}) on |PSU3(q)| vertices, from the triple alone."""
+    order = check_graph_gate(t.field, allow_large)
     check_connection_set(t.matrices)
-    edges = _bfs(t, IsotropicAction(t.field), expected_order)
-    _check_cubic(expected_order, edges)
-    return CayleyGraph(expected_order, edges)
+    edges = _bfs(t, IsotropicAction(t.field), order)
+    _check_cubic(order, edges)
+    return CayleyGraph(order, edges)
 
 
 def _decimal(values: np.ndarray, seps: np.ndarray) -> bytes:

@@ -248,9 +248,9 @@ def aut_group_trivial(t, order_cert):
     return autcheck.aut_group_trivial(t, order_cert)
 
 
-def build_graph(t, expected_order, allow_large=False):
+def build_graph(t, allow_large=False):
     from . import cayley
-    return cayley.build_graph(t, expected_order, allow_large)
+    return cayley.build_graph(t, allow_large)
 
 
 def edge_list_sha256(g):
@@ -394,8 +394,7 @@ def _stage_aut(state, cfg: RunConfig) -> dict:
 
 def _stage_graph(state, cfg: RunConfig) -> dict:
     t = state["triple"]
-    expected = expected_group_order(t.field.q)
-    g = build_graph(t, expected, allow_large=cfg.allow_large_graph)
+    g = build_graph(t, allow_large=cfg.allow_large_graph)
     state["graph"] = g
     return {
         "vertices": g.vertex_count,
@@ -432,8 +431,7 @@ def _run(cfg: RunConfig) -> tuple[dict, int, dict]:
         if "graph" in stages:  # refused before any stage builds a chain
             from .cayley import check_graph_gate
             cert["failed_stage"] = "graph"
-            check_graph_gate(fld, expected_group_order(fld.q),
-                             cfg.allow_large_graph)
+            check_graph_gate(fld, cfg.allow_large_graph)
             del cert["failed_stage"]
         for stage in stages:
             try:

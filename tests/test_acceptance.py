@@ -163,7 +163,7 @@ def test_criterion_8_cayley_graph_structure(pipelines):
     expected = {4: (62400, 93600), 5: (126000, 189000)}
     for q, (nv, ne) in sorted(expected.items()):
         entry = pipelines[q]
-        g = build_graph(entry["triple"], expected_group_order(q))
+        g = build_graph(entry["triple"])
         assert (g.vertex_count, len(g.edges)) == (nv, ne)
         degree = [0] * g.vertex_count
         adj = [[] for _ in range(g.vertex_count)]

@@ -3,7 +3,6 @@
 import random
 import tracemalloc
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from psu3grr.mat3 import Mat3, standard_hermitian_form, su3_center_scalars
 def _graph(p, f, **kw):
     F = field(p, f)
     t = build_triple(search_params(F))
-    return t, build_graph(t, expected_group_order(F.q), **kw)
+    return t, build_graph(t, **kw)
 
 
 def _toy(n, edges):
@@ -122,10 +121,10 @@ def test_graph_build_memory_is_bounded():
     F = field(5, 1)
     t = build_triple(search_params(F))
     order = expected_group_order(F.q)
-    build_graph(t, order)
+    build_graph(t)
     tracemalloc.start()
     try:
-        g = build_graph(t, order)
+        g = build_graph(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -175,16 +174,18 @@ def test_cubic_check_counts_across_blocks():
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1)])
 def test_bfs_numbering_ignores_the_key_points(p, f, monkeypatch):
     """The edges are the same when the vertices are keyed by another
-    non-collinear triple of isotropic points: the one `frame_points` takes
-    from the end of the point order."""
+    non-collinear triple of isotropic points: the frame mirrored to the
+    end of the point order, n - 1, n - 2 and n - 2 - q."""
     F = field(p, f)
     t = build_triple(search_params(F))
     action = IsotropicAction(F)
     order = expected_group_order(F.q)
     default = cayley._bfs(t, action, order)
-    reverse = SimpleNamespace(field=F, point_matrix=action.point_matrix[::-1])
-    other = tuple(action.degree - 1 - i for i in frame_points(reverse))
-    assert not set(other) & set(frame_points(action))
+    n = action.degree
+    other = (n - 1, n - 2, n - 2 - F.q)
+    assert not set(other) & set(frame_points(F.q))
+    rows = [[FieldElem(F, i) for i in action.point_matrix[k]] for k in other]
+    assert Mat3.from_rows(F, rows).det()
     monkeypatch.setattr(cayley, "frame_points", lambda _: other)
     assert np.array_equal(cayley._bfs(t, action, order), default)
 
@@ -218,7 +219,7 @@ def test_size_gate():
     F = field(7, 1)
     t = build_triple(search_params(F))
     with pytest.raises(GraphSizeError):
-        build_graph(t, expected_group_order(F.q))  # 5.6M vertices
+        build_graph(t)  # 5.6M vertices
 
 
 @pytest.mark.parametrize("order,message", [
@@ -227,9 +228,10 @@ def test_size_gate():
     (62402, "found 62400 elements"),
 ])
 def test_wrong_certified_order_is_refused(order, message):
-    t = build_triple(search_params(field(2, 2)))
+    F = field(2, 2)
+    t = build_triple(search_params(F))
     with pytest.raises(RuntimeError, match=message):
-        build_graph(t, order)
+        cayley._bfs(t, IsotropicAction(F), order)
 
 
 def test_connection_set_violations_are_rejected():
@@ -239,17 +241,17 @@ def test_connection_set_violations_are_rejected():
     ident = Mat3.identity(F)
     with_identity = GeneratorTriple(cp, t.X, t.Y, ident)
     with pytest.raises(ConnectionSetError):
-        build_graph(with_identity, expected_group_order(F.q))
+        build_graph(with_identity)
     duplicated = GeneratorTriple(cp, t.X, t.Y, t.X)
     with pytest.raises(ConnectionSetError):
-        build_graph(duplicated, expected_group_order(F.q))
+        build_graph(duplicated)
     non_involution = GeneratorTriple(cp, t.X, t.Y, t.Y * t.Z)
     with pytest.raises(ConnectionSetError):
-        build_graph(non_involution, expected_group_order(F.q))
+        build_graph(non_involution)
     # -Y is an involution acting as Y does, but the key argument needs SU3
     outside_su3 = GeneratorTriple(cp, t.X, t.Y.scalar_mul(-F.one), t.Z)
     with pytest.raises(ConnectionSetError, match="Y is not in SU3"):
-        build_graph(outside_su3, expected_group_order(F.q))
+        build_graph(outside_su3)
 
 
 def test_key_packing_limit_refuses_large_q():
@@ -258,13 +260,13 @@ def test_key_packing_limit_refuses_large_q():
     F = field(13, 1)
     t = build_triple(search_params(F))
     with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
-        check_graph_gate(F, expected_group_order(13), allow_large=True)
+        check_graph_gate(F, allow_large=True)
     with pytest.raises(GraphSizeError, match=f"q <= {MAX_KEY_Q}"):
-        build_graph(t, expected_group_order(13), allow_large=True)
+        build_graph(t, allow_large=True)
     F11 = field(11, 1)
     assert (((11 ** 3 + 1) ** 3 - 1).bit_length()
             + (3 * expected_group_order(11) - 1).bit_length()) <= 63
-    check_graph_gate(F11, expected_group_order(11), allow_large=True)
+    assert check_graph_gate(F11, allow_large=True) == expected_group_order(11)
 
 
 def test_bfs_refuses_values_past_int64():
@@ -282,7 +284,7 @@ def test_frame_points_are_isotropic_and_in_general_position(p, f):
     W = standard_hermitian_form(F)
     action = IsotropicAction(F)
     frame = [[FieldElem(F, i) for i in action.point_matrix[k]]
-             for k in frame_points(action)]
+             for k in frame_points(F.q)]
     assert len(frame) == 3
 
     def form(u, v):

@@ -551,13 +551,15 @@ def test_export_graph_bytes_are_pinned(p, f, fmt, tmp_path, capsys):
 def test_traced_run_still_wraps_every_layer():
     """perfbench/tracer.py rebinds names of the package (cli's stage
     callees, grouporder.nullspace, autcheck.solve_twisted_conjugacy, ...);
-    renaming one of them breaks this traced q = 4 verdict.  A q = 4 graph
-    run must trace the cayley callees, which cli imports on first use."""
+    renaming one of them, or changing how cli calls it, breaks this traced
+    q = 4 run or moves its pinned certificate hash.  A q = 4 graph run must
+    trace the cayley callees, which cli imports on first use."""
     root = Path(__file__).resolve().parent.parent
-    cases = [((), "GRR_CONFIRMED", {"autcheck.aut_group_trivial"}),
-             (("--stage", "graph"), "INCOMPLETE",
+    cases = [((), "GRR_CONFIRMED", VERDICT_HASHES[4],
+              {"autcheck.aut_group_trivial"}),
+             (("--stage", "graph"), "INCOMPLETE", GRAPH_HASHES[4][0],
               {"cayley.build_graph", "cayley.edge_list_sha256"})]
-    for stages, verdict, callees in cases:
+    for stages, verdict, cert_hash, callees in cases:
         proc = subprocess.run(
             [sys.executable, "perfbench/tracer.py", "--p", "2", "--f", "2",
              *stages],
@@ -565,6 +567,7 @@ def test_traced_run_still_wraps_every_layer():
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert (doc["exit"], doc["cert"]["verdict"]) == (EXIT_OK, verdict)
+        assert doc["cert"]["certificate_hash"] == cert_hash
         assert callees <= {span[0] for span in doc["spans"]}
 
 

@@ -16,7 +16,7 @@ from psu3grr.grouporder import (IsotropicAction, OrderBoundExceeded,
                                 dihedral_image_order, expected_group_order,
                                 group_order, invariant_subspace_test)
 from psu3grr.mat3 import (Mat3, is_special_unitary, standard_hermitian_form,
-                          vecmat_np)
+                          su3_center_scalars, vecmat_np)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def _perm_chain(perms, degree, order_bound=None):
 
 
 def _matrix_chain(action, mats, order_bound=None):
-    chain = StabilizerChain(action, order_bound)
+    chain = StabilizerChain(action, order_bound=order_bound)
     for m in mats:
         chain.add_generator(m)
     return chain
@@ -436,7 +436,8 @@ def test_dihedral_order_matches_the_chain(p, f):
     act = IsotropicAction(F)
     t = build_triple(search_params(F))
     assert dihedral_image_order(t) == \
-        grouporder.permutation_order_certificate(act, (t.Y, t.Z)).order
+        grouporder.permutation_order_certificate(
+            act, (t.Y, t.Z), order_bound=None).order
 
 
 @pytest.mark.parametrize("b", ["0,4", "1,1"])
@@ -447,7 +448,8 @@ def test_dihedral_order_of_norm_one_b_triples(b):
     t = build_triple(search_params(F)._replace(b=F.from_str(b)))
     act = IsotropicAction(F)
     assert dihedral_image_order(t) == 8 == \
-        grouporder.permutation_order_certificate(act, (t.Y, t.Z)).order
+        grouporder.permutation_order_certificate(
+            act, (t.Y, t.Z), order_bound=None).order
 
 
 def test_dihedral_order_needs_two_distinct_involutions():
@@ -747,6 +749,25 @@ def test_strong_generators_are_held_once(p, f):
             == np.int32
 
 
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 3)])
+def test_scalar_generators_install_nothing(p, f):
+    """A scalar matrix fixes every point, so it sifts through every level
+    at T[0] = I and stays scalar: the centre scalars, and a scalar outside
+    SU3(q), leave an empty chain and one holding X unchanged."""
+    F = field(p, f)
+    act = IsotropicAction(F)
+    X = build_triple(search_params(F)).X
+    centre = su3_center_scalars(F)
+    outside = next(c for c in list(F.elements())[1:] if c not in centre)
+    scalars = [Mat3.identity(F).scalar_mul(c) for c in (*centre, outside)]
+    for gens in [(), (X,)]:
+        chain = _matrix_chain(act, gens)
+        before = (_levels(chain), chain.base, chain.orbit_lengths)
+        for s in scalars:
+            chain.add_generator(s)
+            assert (_levels(chain), chain.base, chain.orbit_lengths) == before
+
+
 def test_generation_chain_peak_at_q37():
     """The traced peak of the q = 37 generation chain (degree 50 654):
     about 15.6 MiB with one array per strong generator's permutation and
@@ -808,7 +829,7 @@ def test_only_special_unitary_triples_get_the_order_bound(monkeypatch):
     bounds = []
     certify = grouporder.permutation_order_certificate
 
-    def spy(action, matrices, order_bound=None):
+    def spy(action, matrices, order_bound):
         bounds.append(order_bound)
         return certify(action, matrices, order_bound)
     monkeypatch.setattr(grouporder, "permutation_order_certificate", spy)
